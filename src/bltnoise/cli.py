@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
     for kind in (PER_STEP, PREFIX):
         cfg = NoiseStreamConfig(fact, n, m, args.seed, 1.0, kind)
         streamed[kind] = np.vstack(list(noise_stream(cfg)))
-    sigma = NoiseStreamConfig(fact, n, m, args.seed, 1.0, PER_STEP).sigma
+    sigma = cfg.sigma
     bitgen = np.random.Philox(key=int(args.seed))
     from scipy.special import ndtri
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import lfilter
@@ -71,9 +72,9 @@ def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
     return f.t * z + f.u @ state.S
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseStreamConfig:
-    """Parameters of a reproducible DP noise stream."""
+    """Parameters of a reproducible DP noise stream; frozen, so the cached sigma holds."""
 
     factorization: BltFactorization
     n: int
@@ -94,7 +95,7 @@ class NoiseStreamConfig:
         if self.output_kind not in (PER_STEP, PREFIX):
             raise ValueError(f"output_kind must be '{PER_STEP}' or '{PREFIX}'")
 
-    @property
+    @cached_property
     def sigma(self) -> float:
         """Noise scale zeta * ||C||_{1->2}."""
         return float(self.zeta) * sensitivity_of(self.factorization, self.n)

@@ -29,6 +29,28 @@ def random_factorization(rng, degree, n=64):
     return BltFactorization(theta=theta, theta_hat=theta_hat, n=n)
 
 
+def reciprocal_coeffs_direct(fact, n):
+    """O(n) pole-space oracle: the first ``n`` coefficients of C's generator 1/r.
+
+    Iterates the reciprocal recurrence ``s_k = -theta.y / r0``,
+    ``y <- theta*y - v (theta.y)`` on the exact (theta, omega) parameters the
+    streamer uses, one coefficient per step.  ``sensitivity_of`` evaluates the
+    same recurrence's sum of squares by doubling; this is its reference.
+    """
+    theta = np.append(fact.theta, 0.0)
+    v = np.append(fact.omega / fact.theta, 1.0 - np.sum(fact.omega / fact.theta))
+    r0 = float(v.sum())
+    v = v / r0
+    s = np.empty(n)
+    s[0] = 1.0 / r0
+    y = v.copy()
+    for k in range(1, n):
+        c = theta @ y
+        s[k] = -c / r0
+        y = theta * y - v * c
+    return s
+
+
 def consumption_perm(n1, levels):
     """Map noise-consumption order to the column order of the dense combined B.
 

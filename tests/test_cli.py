@@ -218,6 +218,43 @@ class TestNoisegen:
         from_csv = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1:]
         np.testing.assert_allclose(from_bin, from_csv, rtol=0, atol=0)
 
+    def test_sigma_evaluated_once(self, capsys, tmp_path, monkeypatch):
+        """The summary, the stream and the sidecar share one sensitivity call."""
+        import bltnoise.streaming
+
+        ra_path = str(tmp_path / "ra.json")
+        build = ["build", "--method", "ra", "--degree", "5", "--steps", "500", "--out", ra_path]
+        assert main(build) == 0
+        capsys.readouterr()
+        calls = []
+        real = bltnoise.streaming.sensitivity_of
+
+        def counting(fact, n):
+            calls.append(n)
+            return real(fact, n)
+
+        monkeypatch.setattr(bltnoise.streaming, "sensitivity_of", counting)
+        out_path = tmp_path / "noise.f64"
+        code, out, _ = run(
+            capsys,
+            "noisegen",
+            "--blt",
+            ra_path,
+            "--steps",
+            "500",
+            "--dim",
+            "2",
+            "--format",
+            "f64",
+            "--out",
+            str(out_path),
+        )
+        assert code == 0
+        assert calls == [500]
+        summary = json.loads(out)
+        meta = json.loads(open(summary["sidecar"]).read())
+        assert meta["sigma"] == summary["sigma"] == real(load_factorization(ra_path), 500)
+
     def test_prefix_mode_is_cumsum_of_per_step(self, capsys, tmp_path, blt_file):
         paths = {}
         for mode in ("per-step", "prefix"):

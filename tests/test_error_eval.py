@@ -30,9 +30,10 @@ from bltnoise.error_eval import (
     sensitivity_of,
 )
 from bltnoise.params import BltFactorization, blt_coeffs, degree1_closed_form
+from bltnoise.rational import ra_blt_build
 from bltnoise.seq import series_reciprocal
 
-from helpers import random_factorization, random_rational
+from helpers import random_factorization, random_rational, reciprocal_coeffs_direct
 
 
 def mp_gamma_n(theta, n):
@@ -179,6 +180,58 @@ class TestSensitivityClosed:
         """
         with pytest.raises(ValueError):
             sensitivity_closed([1e150, -1e150], [0.3, 0.3 + 3e-13], 100)
+
+
+class TestSensitivityOf:
+    """The doubling evaluator against mpmath, the O(n) oracle and the residue form."""
+
+    # ||C||_{1->2} of ra_blt_build(5, n) at n: the exact-pole reciprocal
+    # recurrence of test_rational.TestRaBltBuild._mp_sensitivity summed
+    # term by term in 30-digit mpmath arithmetic (about a minute at 10^6).
+    MP_RA5 = {10**6: 47.359358944748934, 2 * 10**4: 6.9047166871394055}
+
+    def test_ra_long_horizon_matches_mpmath(self):
+        n = 10**6
+        got = sensitivity_of(ra_blt_build(5, n), n)
+        np.testing.assert_allclose(got, self.MP_RA5[n], rtol=1e-10)
+
+    def test_ra_mid_horizon_matches_mpmath(self):
+        n = 2 * 10**4
+        got = sensitivity_of(ra_blt_build(5, n), n)
+        np.testing.assert_allclose(got, self.MP_RA5[n], rtol=1e-11)
+
+    def test_degree1_matches_closed(self):
+        for n in (10**2, 10**4, 10**5):
+            fact = degree1_closed_form(n)
+            want = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+            np.testing.assert_allclose(sensitivity_of(fact, n), want, rtol=1e-12)
+
+    def test_random_factorizations_match_closed(self):
+        rng = np.random.default_rng(77)
+        for n in (1, 2, 3, 16, 255, 256, 4096, 10**5):
+            for d in (1, 3, 5):
+                fact = random_factorization(rng, d, n)
+                want = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+                np.testing.assert_allclose(sensitivity_of(fact, n), want, rtol=1e-12)
+
+    def test_matches_pole_space_oracle(self):
+        for d, n in ((3, 1), (3, 2), (5, 777), (9, 1024), (9, 1025), (54, 1000)):
+            fact = ra_blt_build(d, 1000)
+            s = reciprocal_coeffs_direct(fact, n)
+            got = sensitivity_of(fact, n)
+            np.testing.assert_allclose(got, math.sqrt(np.dot(s, s)), rtol=1e-12)
+
+    def test_rejects_empty_horizon(self):
+        facts = [
+            ra_blt_build(5, 100),
+            degree1_closed_form(100),
+            BltFactorization([0.5], [0.7], 100),
+            BltFactorization([], [], 100),
+        ]
+        for fact in facts:
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    sensitivity_of(fact, n)
 
 
 class TestRownormClosed:

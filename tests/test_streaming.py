@@ -1,5 +1,6 @@
 """Tests for buffered streaming multiplication and seeded noise generation."""
 
+import dataclasses
 import json
 import math
 
@@ -119,6 +120,14 @@ class TestNoiseStreamConfig:
             NoiseStreamConfig(fact, 8, 1, seed=0, zeta=-0.1)
         with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 8, 1, seed=0, zeta=1.0, output_kind="bogus")
+
+    def test_frozen_so_sigma_cannot_go_stale(self):
+        cfg = NoiseStreamConfig(BltFactorization([0.5], [0.75], 8), 8, 1, seed=0, zeta=1.0)
+        sigma = cfg.sigma
+        for field, value in (("n", 9), ("zeta", 2.0), ("seed", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, value)
+        assert cfg.sigma == sigma
 
 
 class TestNoiseStream:
