@@ -14,14 +14,11 @@ from .params import (
     BltFactorization,
     residues_from_roots,
     blt_coeffs,
-    companion_form,
-    reciprocal_matrix_form,
     degree1_closed_form,
     save_factorization,
     load_factorization,
 )
 from .error_eval import (
-    GeometricSum,
     MaxErrReport,
     geometric_prefix,
     sensitivity_closed,
@@ -37,6 +34,7 @@ from .recursive import (
     comc_dense,
     recursive_norms,
     recursive_stream,
+    blt_base_factory,
     theorem2_params,
 )
 
@@ -51,12 +49,9 @@ __all__ = [
     "BltFactorization",
     "residues_from_roots",
     "blt_coeffs",
-    "companion_form",
-    "reciprocal_matrix_form",
     "degree1_closed_form",
     "save_factorization",
     "load_factorization",
-    "GeometricSum",
     "MaxErrReport",
     "geometric_prefix",
     "sensitivity_closed",
@@ -82,6 +77,7 @@ __all__ = [
     "comc_dense",
     "recursive_norms",
     "recursive_stream",
+    "blt_base_factory",
     "theorem2_params",
 ]
 

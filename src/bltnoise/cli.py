@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,13 +65,6 @@ def _str_list(text: str):
     if not vals:
         raise ValueError("empty list")
     return vals
-
-
-def _num_threads() -> int:
-    env = os.environ.get("BLT_NOISE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _cmd_bounds(args) -> int:
@@ -206,7 +197,17 @@ def _cmd_compare(args) -> int:
         if meth not in ("ra", "opt", "degree1"):
             raise ValueError(f"unknown method {meth!r}")
     ns = args.n_grid
-    tasks = []  # (method, degree, n, thunk)
+    lines = ["method,degree," + MECH_CSV_HEADER]
+
+    def add_row(meth, d, n, fact):
+        rep = max_err(fact, n)
+        b = rep.bounds
+        lines.append(
+            f"{meth},{d},{n},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
+            f"{b['matousek_lb']:.12g},{b['bintree']:.12g},{rep.max_err:.12g},"
+            f"{rep.max_err / b['opt_lt_toe']:.12g}"
+        )
+
     for meth in methods:
         if meth == "ra":
             for d in args.degrees:
@@ -215,37 +216,14 @@ def _cmd_compare(args) -> int:
                     continue
                 fact = ra_blt_build(d, max(ns))
                 for n in ns:
-                    tasks.append((meth, d, n, lambda f=fact, n=n: max_err(f, n)))
+                    add_row(meth, d, n, fact)
         elif meth == "opt":
             for d in args.degrees:
                 for n in ns:
-                    tasks.append(
-                        (
-                            meth,
-                            d,
-                            n,
-                            lambda d=d, n=n: max_err(
-                                optimize_blt(OptConfig(degree=d, n=n)).factorization, n
-                            ),
-                        )
-                    )
+                    add_row(meth, d, n, optimize_blt(OptConfig(degree=d, n=n)).factorization)
         else:
             for n in ns:
-                tasks.append((meth, 1, n, lambda n=n: max_err(degree1_closed_form(n), n)))
-    workers = _num_threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: t[3](), tasks))
-    else:
-        reports = [t[3]() for t in tasks]
-    lines = ["method,degree," + MECH_CSV_HEADER]
-    for (meth, d, n, _), rep in zip(tasks, reports):
-        b = rep.bounds
-        lines.append(
-            f"{meth},{d},{n},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
-            f"{b['matousek_lb']:.12g},{b['bintree']:.12g},{rep.max_err:.12g},"
-            f"{rep.max_err / b['opt_lt_toe']:.12g}"
-        )
+                add_row(meth, 1, n, degree1_closed_form(n))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -314,7 +292,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0, help="reserved; optimization is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
 

@@ -65,19 +65,6 @@ def geometric_prefix(theta, n: int):
     return (1.0 - theta**n) / eps
 
 
-@dataclass(frozen=True)
-class GeometricSum:
-    """A geometric prefix sum with its arguments, for reporting/inspection."""
-
-    theta: float
-    n: int
-    value: float
-
-    @classmethod
-    def of(cls, theta, n: int) -> "GeometricSum":
-        return cls(theta, n, geometric_prefix(theta, n))
-
-
 def _gsum1(theta, n: int):
     """``sum_{i<n} gamma_i(theta)``, the linear-in-i accumulation of prefixes."""
     if n <= 1:
@@ -255,18 +242,6 @@ def rownorm_closed(omega, theta, n: int):
     return total**0.5
 
 
-def linear_growth_coeff(omega, theta) -> float:
-    """Coefficient of the eventual linear growth of the squared row norm.
-
-    Equals ``(1 + sum_j w_j/(1-theta_j))^2`` and is therefore nonnegative for
-    any parameters with theta < 1.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    base = 1.0 + np.sum(omega / (1.0 - theta)) if omega.size else 1.0
-    return float(base * base)
-
-
 @dataclass(frozen=True)
 class MaxErrReport:
     """Sensitivity, row norm, their product, and the reference bounds at n."""
@@ -405,18 +380,5 @@ def bounds_csv(ns) -> str:
         lines.append(
             f"{int(n)},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
             f"{b['matousek_lb']:.12g},{b['bintree']:.12g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def mechanism_csv(fact: BltFactorization, ns) -> str:
-    lines = [MECH_CSV_HEADER]
-    for n in ns:
-        rep = max_err(fact, int(n))
-        b = rep.bounds
-        lines.append(
-            f"{int(n)},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
-            f"{b['matousek_lb']:.12g},{b['bintree']:.12g},"
-            f"{rep.max_err:.12g},{rep.max_err / b['opt_lt_toe']:.12g}"
         )
     return "\n".join(lines) + "\n"

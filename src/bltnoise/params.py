@@ -8,7 +8,7 @@ the 2d real parameters (theta, theta_hat): the inverse-C generator is
 
 with residues omega derived in closed form.  C's own generator is 1/r and B's
 is r(x)/(1 - x), so B-side coefficients are prefix sums of r's.  This module
-converts among pole/residue, polynomial-coefficient, and matrix-power forms.
+converts between the root, pole/residue and diagonal matrix-power forms.
 """
 
 from __future__ import annotations
@@ -92,21 +92,6 @@ class MatrixPowerForm:
     def dim(self) -> int:
         return self.u.size
 
-    def coeffs(self, n: int) -> ToeplitzSeq:
-        """First ``n`` coefficients by iterating ``w <- W w``."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        out = np.zeros(n)
-        if self.dim == 0:
-            out[0] = self.t
-            return ToeplitzSeq(out)
-        w = self.v.copy()
-        out[0] = self.u @ w + self.t
-        for k in range(1, n):
-            w = self.W @ w
-            out[k] = self.u @ w
-        return ToeplitzSeq(out)
-
 
 def blt_coeffs(b: RationalBlt, n: int) -> ToeplitzSeq:
     """First ``n`` coefficients of ``b`` from the pole/residue closed form, O(n d)."""
@@ -129,77 +114,6 @@ def diagonal_power_form(b: RationalBlt) -> MatrixPowerForm:
     v = b.omega / b.theta if b.degree else np.zeros(0)
     t = b.t - v.sum()
     return MatrixPowerForm(np.ones(b.degree), np.diag(b.theta), v, t)
-
-
-def _trim(coeffs) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
-    nz = np.nonzero(arr)[0]
-    if nz.size == 0:
-        return arr[:1]
-    return arr[: nz[-1] + 1]
-
-
-def companion_form(p_coeffs, q_coeffs) -> MatrixPowerForm:
-    """Matrix-power form of ``r(x) = p(x)/q(x)`` with ``q_0 = 1``.
-
-    The additive constant is split off first (``r = t + pbar/q`` with
-    ``deg pbar < deg q``); ``W`` is the companion matrix whose spectrum is the
-    reciprocals of ``q``'s roots (plus zero padding when ``q``'s leading
-    coefficients vanish).
-    """
-    p = _trim(p_coeffs)
-    q = _trim(q_coeffs)
-    if q[0] != 1.0:
-        raise ValueError("q_0 must equal 1")
-    deg_p, deg_q = p.size - 1, q.size - 1
-    if deg_p > deg_q:
-        raise ValueError("numerator degree exceeds denominator degree")
-    d = deg_q
-    if deg_p == deg_q:
-        t = p[-1] / q[-1]
-        pbar = (p - t * q)[:d]
-    else:
-        t = 0.0
-        pbar = p
-    v = np.zeros(d)
-    v[: pbar.size] = pbar
-    W = np.zeros((d, d))
-    if d:
-        W[:, 0] = -q[1:]
-        W[np.arange(d - 1), np.arange(1, d)] = 1.0
-    return MatrixPowerForm(np.eye(d, 1).ravel() if d else np.zeros(0), W, v[:d], t)
-
-
-def reciprocal_matrix_form(f: MatrixPowerForm, beta: int) -> MatrixPowerForm:
-    """Matrix-power form of ``1/r(x)`` (beta=0) or ``1/(r(x)(1-x))`` (beta=1).
-
-    The additive constant of ``f`` is absorbed by zero-padding, the generator
-    is normalized so its constant term is 1, and the output has dimension one
-    larger than the (padded) input.
-    """
-    if beta not in (0, 1):
-        raise ValueError("beta must be 0 or 1")
-    u, W, v, t = f.u, f.W, f.v, f.t
-    if t != 0.0:
-        d = u.size
-        W = np.block([[W, np.zeros((d, 1))], [np.zeros((1, d)), np.zeros((1, 1))]])
-        u = np.append(u, 1.0)
-        v = np.append(v, t)
-    r0 = float(u @ v) if u.size else 0.0
-    if r0 == 0.0:
-        raise ValueError("generator has zero constant term; cannot normalize")
-    v = v / r0
-    d = u.size
-    uW = u @ W
-    M = W - np.outer(v, uW)
-    Wt = np.zeros((d + 1, d + 1))
-    Wt[0, 0] = float(beta)
-    Wt[1:, 0] = v
-    Wt[1:, 1:] = M
-    ut = np.concatenate(([1.0], -uW)) / r0
-    vt = np.zeros(d + 1)
-    vt[0] = 1.0
-    return MatrixPowerForm(ut, Wt, vt, 0.0)
 
 
 def residues_from_roots(theta, theta_hat):

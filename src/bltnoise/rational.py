@@ -154,27 +154,21 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
     """Factorization whose inverse-C generator is the degree-d approximant
     to sqrt(1-x), normalized to constant term 1.
 
-    The poles give theta_k = 1/(1 + 2 e^{2hk}) with exact residues
-    -weight_k * theta_k^2 / rt(0); the zeros give theta_hat (including the
-    exact zero at x = 1).  The construction depends on n only through the
-    stored target horizon.
+    The poles of ``newman_sqrt(d)`` give theta_k = 1/center_k with exact
+    residues -weight_k * theta_k^2 / rt(0); the zeros give theta_hat
+    (including the exact zero at x = 1).  The construction depends on n only
+    through the stored target horizon.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
     if n < 1:
         raise ValueError("n must be >= 1")
-    d_plus = (d - 1) // 2
-    d_minus = d - 1 - d_plus
-    h = math.pi / math.sqrt(2.0 * d_plus)
-    scale = 2.0 * h * math.sqrt(2.0) / math.pi
-    k = np.arange(-d_minus, d_plus + 1)
-    offs = 2.0 * np.exp(2.0 * h * k)
-    weights = scale * 2.0 * np.exp(3.0 * h * k)
-    A = scale * np.exp(h * k).sum()
-    theta = 1.0 / (1.0 + offs)  # offsets ascend, so theta is descending
-    t_raw = A - float(np.sum(weights * theta))
+    terms = newman_sqrt(d)
+    centers, weights = np.array(terms.terms).T
+    theta = 1.0 / centers  # centers ascend, so theta is descending
+    t_raw = terms.constant - float(np.sum(weights * theta))
     omega = -(weights * theta * theta) / t_raw
-    ys = _interlaced_zeros(h, d_plus, d_minus)
+    ys = _interlaced_zeros(terms.h, terms.d_plus, terms.d_minus)
     theta_hat = np.concatenate(([1.0], 1.0 / (1.0 + ys)))
     theta_stored = _nudge_descending(theta)
     theta_hat_stored = _nudge_descending(theta_hat)

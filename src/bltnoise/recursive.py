@@ -17,7 +17,6 @@ m-vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,42 +24,6 @@ from .params import BltFactorization, diagonal_power_form
 from .streaming import stream_init, stream_step
 
 _DENSE_ROW_CAP = 1 << 12
-
-
-@dataclass(frozen=True)
-class RecursiveFactorization:
-    """A base factor pair iterated ``levels`` times.
-
-    ``base`` is a BltFactorization (square base, n1 = base.n) or an explicit
-    dense pair (B1, C1) with B1 of shape n1 x n1'.
-    """
-
-    base: object
-    levels: int
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-
-    @property
-    def n1(self) -> int:
-        if isinstance(self.base, BltFactorization):
-            return self.base.n
-        return np.asarray(self.base[0]).shape[0]
-
-    @property
-    def n1_prime(self) -> int:
-        if isinstance(self.base, BltFactorization):
-            return self.base.n
-        return np.asarray(self.base[0]).shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.n1**self.levels
-
-    @property
-    def n_prime(self) -> int:
-        return self.n1_prime * (self.n1**self.levels - 1) // (self.n1 - 1)
 
 
 def _shift(n: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The per-step noise stream is C^{-1} z where C^{-1} is lower-triangular
 Toeplitz with generator r, so each output row is t*z_k + u^T S with the d x m
-buffer updated as S <- v z_k + W S.  Prefix-sum noise (B z, with
+buffer updated as S <- diag(theta) S + v z_k.  Prefix-sum noise (B z, with
 b(x) = r(x)/(1-x)) is the running sum of the per-step rows, kept in one extra
 width-m buffer rather than folding a pole at 1 into the factorization.
 
@@ -42,32 +42,30 @@ class StreamState:
     k: int
     form: MatrixPowerForm
     m: int
-    diag: np.ndarray | None = None  # diagonal of W when W is diagonal
+    diag: np.ndarray  # the diagonal of W
 
 
 def stream_init(form: MatrixPowerForm, m: int) -> StreamState:
-    """Zero-initialized d x m buffer state for streaming by ``form``."""
+    """Zero-initialized d x m buffer state for streaming by ``form``.
+
+    ``form.W`` must be diagonal, as ``diagonal_power_form`` builds it.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = form.dim
-    W = np.asarray(form.W, dtype=np.float64)
-    diag = None
-    if d == 0 or not np.any(W - np.diag(np.diagonal(W))):
-        diag = np.diagonal(W).copy()
-    return StreamState(S=np.zeros((d, m)), k=0, form=form, m=m, diag=diag)
+    diag = np.diagonal(form.W).copy()
+    if np.any(form.W - np.diag(diag)):
+        raise ValueError("W must be diagonal")
+    return StreamState(S=np.zeros((form.dim, m)), k=0, form=form, m=m, diag=diag)
 
 
 def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
-    """Advance one step: S <- v z + W S, output t*z + u^T S."""
+    """Advance one step: S <- diag(W) S + v z, output t*z + u^T S."""
     z = np.asarray(z_row, dtype=np.float64)
     if z.shape != (state.m,):
         raise ValueError(f"z_row must have shape ({state.m},)")
     f = state.form
-    if state.diag is not None:
-        state.S *= state.diag[:, None]
-        state.S += np.outer(f.v, z)
-    else:
-        state.S = f.W @ state.S + np.outer(f.v, z)
+    state.S *= state.diag[:, None]
+    state.S += np.outer(f.v, z)
     state.k += 1
     return f.t * z + f.u @ state.S
 
@@ -114,11 +112,9 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None, chunk_rows: int = _CHUNK
     carried initial conditions, so each block costs O(d * rows * m) in
     vectorized passes.
     """
-    fact = cfg.factorization
-    r = fact.rational()
-    theta = r.theta
-    v = np.divide(r.omega, theta, out=np.zeros_like(r.omega), where=theta != 0)
-    t = r.t - v.sum()
+    r = cfg.factorization.rational()
+    form = diagonal_power_form(r)
+    theta, v, t = r.theta, form.v, form.t
     d = theta.size
     if columns is None:
         cols = None
@@ -190,6 +186,7 @@ def write_noise_f64(cfg: NoiseStreamConfig, path, factorization_path: str = "") 
         "seed": int(cfg.seed),
         "rng": RNG_NAME,
         "factorization_path": str(factorization_path),
+        "output_kind": cfg.output_kind,
     }
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

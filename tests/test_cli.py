@@ -345,8 +345,7 @@ class TestVerify:
 
 
 class TestCompare:
-    def test_methods_and_degrees(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLT_NOISE_THREADS", "1")
+    def test_methods_and_degrees(self, capsys):
         code, out, _ = run(
             capsys,
             "compare",
@@ -369,8 +368,7 @@ class TestCompare:
         d1 = [r for r in rows if r[0] == "degree1"]
         assert {r[2] for r in d1} == {"100", "1000"}
 
-    def test_low_degree_ra_skipped(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLT_NOISE_THREADS", "1")
+    def test_low_degree_ra_skipped(self, capsys):
         code, out, err = run(
             capsys, "compare", "--methods", "ra", "--degrees", "2", "--n-grid", "100"
         )
@@ -434,6 +432,8 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["bounds", "--n-max", "4", "--frobnicate"]) == 1
+        # optimize is deterministic and takes no seed
+        assert main(["optimize", "--degree", "1", "--steps", "8", "--seed", "0", "--out", "x"]) == 1
 
 
 class TestInstalledEntryPoint:

@@ -13,17 +13,14 @@ import pytest
 
 from bltnoise.error_eval import (
     EULER_GAMMA,
-    GeometricSum,
     _gsum1,
     _gsum2,
     bounds_table,
     bounds_csv,
     BOUNDS_CSV_HEADER,
     geometric_prefix,
-    linear_growth_coeff,
     matousek_lb,
     max_err,
-    mechanism_csv,
     opt_lt_toe,
     rownorm_closed,
     sensitivity_closed,
@@ -89,10 +86,6 @@ class TestGeometricPrefix:
             geometric_prefix(-0.2, 5)
         with pytest.raises(ValueError):
             geometric_prefix(1.2, 5)
-
-    def test_dataclass_wrapper(self):
-        g = GeometricSum.of(0.5, 3)
-        assert g.value == 1.75 and g.theta == 0.5 and g.n == 3
 
 
 class TestGsumOracles:
@@ -275,16 +268,11 @@ class TestMonotonicity:
 
 
 class TestLinearGrowthCoeff:
-    def test_nonnegative_for_constructed(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            fact = random_factorization(rng, 3, 64)
-            assert linear_growth_coeff(fact.omega, fact.theta) >= 0.0
-
     def test_value_is_limit_slope(self):
-        """alpha_1 equals the limiting per-step growth of the squared row norm."""
+        """alpha_1 = (1 + sum w/(1-theta))^2 is the limiting per-step growth
+        of the squared row norm."""
         fact = degree1_closed_form(64)
-        alpha1 = linear_growth_coeff(fact.omega, fact.theta)
+        alpha1 = (1.0 + np.sum(fact.omega / (1.0 - fact.theta))) ** 2
         n = 200000
         a = rownorm_closed(fact.omega, fact.theta, n) ** 2
         b = rownorm_closed(fact.omega, fact.theta, n + 1) ** 2
@@ -370,11 +358,3 @@ class TestCsvEmission:
         assert lines[0] == BOUNDS_CSV_HEADER
         assert len(lines) == 4
         assert lines[1].startswith("1,")
-
-    def test_mechanism_csv(self):
-        fact = degree1_closed_form(64)
-        text = mechanism_csv(fact, [8, 64])
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,opt_lt_toe,mathias_ub,matousek_lb,bintree,mechanism_maxerr,ratio"
-        fields = lines[2].split(",")
-        np.testing.assert_allclose(float(fields[-1]), float(fields[-2]) / float(fields[1]), rtol=1e-9)

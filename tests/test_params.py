@@ -8,17 +8,22 @@ from bltnoise.params import (
     MatrixPowerForm,
     RationalBlt,
     blt_coeffs,
-    companion_form,
     degree1_closed_form,
     diagonal_power_form,
     load_factorization,
-    reciprocal_matrix_form,
     residues_from_roots,
     save_factorization,
 )
 from bltnoise.seq import ToeplitzSeq, cauchy_product, ltt_apply_dense, series_reciprocal
 
 from helpers import random_factorization, random_rational
+
+
+def power_coeffs(form, n):
+    """``r_k = u^T W^k v + t * [k == 0]`` by explicit matrix powers."""
+    rk = np.array([form.u @ np.linalg.matrix_power(form.W, k) @ form.v for k in range(n)])
+    rk[0] += form.t
+    return rk
 
 
 def poly_from_roots(roots):
@@ -95,7 +100,7 @@ class TestBltCoeffs:
             r = random_rational(rng, 2)
             form = diagonal_power_form(r)
             np.testing.assert_allclose(
-                blt_coeffs(r, 64).coeffs, form.coeffs(64).coeffs, rtol=1e-12
+                blt_coeffs(r, 64).coeffs, power_coeffs(form, 64), rtol=1e-12
             )
 
     def test_reciprocal_multiplies_to_unit(self):
@@ -117,100 +122,18 @@ class TestBltCoeffs:
             np.testing.assert_allclose(cauchy_product(r, s).coeffs, e0, atol=1e-9)
 
 
-class TestCompanionForm:
-    def test_single_pole(self):
-        form = companion_form([1.0], [1.0, -0.5])
-        np.testing.assert_array_equal(form.u, [1.0])
-        np.testing.assert_array_equal(form.W, [[0.5]])
-        np.testing.assert_array_equal(form.v, [1.0])
-        assert form.t == 0.0
-
-    def test_p_equals_q(self):
-        form = companion_form([1.0, -0.3, 0.2], [1.0, -0.3, 0.2])
-        assert form.t == 1.0
-        np.testing.assert_array_equal(form.v, np.zeros(2))
-        np.testing.assert_allclose(form.coeffs(8).coeffs, np.eye(8)[0], atol=1e-14)
-
-    def test_matches_long_division(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            p = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, 3)])
-            q = np.concatenate([[1.0], rng.uniform(-0.4, 0.4, 3)])
-            form = companion_form(p, q)
-            n = 64
-            qn = np.zeros(n)
-            qn[:4] = q
-            series = cauchy_product(series_reciprocal(ToeplitzSeq(qn)), np.r_[p, np.zeros(n - 4)])
-            np.testing.assert_allclose(form.coeffs(n).coeffs, series.coeffs, rtol=1e-10, atol=1e-12)
-
-    def test_eigenvalues_are_pole_reciprocal_roots(self):
-        """spectrum(W) equals the reciprocals of q's roots, plus zero padding."""
-        theta = np.array([0.9, 0.4, 0.15])
-        q = poly_from_roots(theta)
-        form = companion_form([1.0], q)
-        eig = np.sort(np.linalg.eigvals(form.W).real)
-        np.testing.assert_allclose(eig, np.sort(theta), atol=1e-8)
-        # degenerate denominator: q has degree 2 but is passed with trailing zero
-        form2 = companion_form([1.0], [1.0, -0.5, 0.06, 0.0])
-        eig2 = np.sort(np.linalg.eigvals(form2.W).real)
-        np.testing.assert_allclose(eig2, [0.2, 0.3], atol=1e-8)
-
-    def test_q0_must_be_one(self):
-        with pytest.raises(ValueError):
-            companion_form([1.0], [2.0, 1.0])
-
-
-class TestReciprocalMatrixForm:
-    def test_ones_generator(self):
-        form = MatrixPowerForm(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0)
-        rec = reciprocal_matrix_form(form, beta=0)
-        np.testing.assert_allclose(rec.coeffs(5).coeffs, [1, -1, 0, 0, 0], atol=1e-14)
-
-    def test_ones_generator_beta1(self):
-        """1/(r(x)(1-x)) with r = 1/(1-x) is the constant series 1."""
-        form = MatrixPowerForm(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0)
-        rec = reciprocal_matrix_form(form, beta=1)
-        np.testing.assert_allclose(rec.coeffs(5).coeffs, [1, 0, 0, 0, 0], atol=1e-14)
-
-    def test_unit_generator(self):
-        form = companion_form([1.0, -0.3], [1.0, -0.3])
-        rec = reciprocal_matrix_form(form, beta=0)
-        np.testing.assert_allclose(rec.coeffs(6).coeffs, np.eye(6)[0], atol=1e-13)
-
-    def test_matches_series_reciprocal(self):
-        rng = np.random.default_rng(10)
-        n = 64
-        for _ in range(5):
-            r = random_rational(rng, 2)
-            rc = blt_coeffs(r, n)
-            rec = reciprocal_matrix_form(diagonal_power_form(r), beta=0)
-            np.testing.assert_allclose(
-                rec.coeffs(n).coeffs, series_reciprocal(rc).coeffs, rtol=1e-9, atol=1e-9
-            )
-
-    def test_beta1_matches_series(self):
-        rng = np.random.default_rng(12)
-        n = 64
-        r = random_rational(rng, 3)
-        rc = blt_coeffs(r, n).coeffs
-        denom = cauchy_product(rc, np.r_[1.0, -1.0, np.zeros(n - 2)])
-        rec = reciprocal_matrix_form(diagonal_power_form(r), beta=1)
-        np.testing.assert_allclose(
-            rec.coeffs(n).coeffs, series_reciprocal(denom).coeffs, rtol=1e-9, atol=1e-9
-        )
-
-
 class TestMatrixPowerForm:
     def test_diagonal_form_coeffs(self):
         r = RationalBlt([0.5, 0.25], [0.375, 0.125], 1.0)
         form = diagonal_power_form(r)
-        rk = form.coeffs(5).coeffs
+        rk = power_coeffs(form, 5)
         expected = [1.0] + [0.375 * 0.5 ** (k - 1) + 0.125 * 0.25 ** (k - 1) for k in range(1, 5)]
         np.testing.assert_allclose(rk, expected, rtol=1e-14)
 
     def test_dimension_zero(self):
         form = MatrixPowerForm(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 2.0)
-        np.testing.assert_array_equal(form.coeffs(3).coeffs, [2.0, 0.0, 0.0])
+        assert form.dim == 0 and form.W.shape == (0, 0)
+        np.testing.assert_array_equal(power_coeffs(form, 3), [2.0, 0.0, 0.0])
 
 
 class TestBltFactorization:

@@ -14,7 +14,6 @@ from bltnoise.error_eval import (
 from bltnoise.params import blt_coeffs
 from bltnoise.rational import ra_blt_build
 from bltnoise.recursive import (
-    RecursiveFactorization,
     blt_base_factory,
     comb_dense,
     comc_dense,
@@ -165,7 +164,7 @@ class TestRecursiveStream:
         n1, levels, m = 3, 3, 2
         rng = np.random.default_rng(10)
         fact = random_factorization(rng, 2, n=n1)
-        rec = RecursiveFactorization(base=fact, levels=levels)
+        n_prime = n1 * (n1**levels - 1) // (n1 - 1)  # columns of the combined B
 
         count = 0
 
@@ -176,12 +175,12 @@ class TestRecursiveStream:
                 yield np.zeros(m)
 
         gen = recursive_stream(blt_base_factory(fact, m), n1, levels, m, counted())
-        rows = list(islice(gen, rec.n))
+        rows = list(islice(gen, n1**levels))
         assert len(rows) == n1**levels
-        assert count == rec.n_prime - (levels - 1)
+        assert count == n_prime - (levels - 1)
         with pytest.raises(StopIteration):
             next(gen)
-        assert count == rec.n_prime
+        assert count == n_prime
 
     def test_exhausted_source_raises(self):
         n1, levels, m = 2, 2, 1
@@ -205,28 +204,24 @@ class TestRecursiveStream:
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             recursive_stream(lambda: None, 2, 0, 1, iter([]))
-        with pytest.raises(ValueError):
-            RecursiveFactorization(base=None, levels=0)
 
 
 class TestRecursiveFactorization:
+    """l levels of an n1 x n1' base give B of n1^l x n1' (n1^l - 1)/(n1 - 1)."""
+
     def test_shape_properties(self):
         rng = np.random.default_rng(13)
         fact = random_factorization(rng, 2, n=3)
-        rec = RecursiveFactorization(base=fact, levels=2)
-        assert rec.n1 == 3 and rec.n1_prime == 3
-        assert rec.n == 9
-        assert rec.n_prime == 12
         B1, C1 = blt_dense_pair(fact, 3)
         B, C = dense_recursion(B1, C1, 2)
-        assert B.shape == (rec.n, rec.n_prime)
-        assert C.shape == (rec.n_prime, rec.n)
+        assert B.shape == (9, 12)
+        assert C.shape == (12, 9)
 
     def test_dense_pair_base(self):
         B1, C1 = bintree_dense(1)
-        rec = RecursiveFactorization(base=(B1, C1), levels=3)
-        assert rec.n1 == 2 and rec.n1_prime == 3
-        assert rec.n == 8 and rec.n_prime == 3 * 7
+        assert B1.shape == (2, 3)
+        B, C = dense_recursion(B1, C1, 3)
+        assert B.shape == (8, 3 * 7) and C.shape == (3 * 7, 8)
 
 
 class TestTheorem2Params:

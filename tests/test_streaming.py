@@ -92,6 +92,11 @@ class TestStreamStep:
         np.testing.assert_allclose(state.S, expected, rtol=1e-12)
         assert state.k == 5
 
+    def test_non_diagonal_w_rejected(self):
+        form = MatrixPowerForm(np.ones(2), [[0.5, 0.1], [0.0, 0.25]], np.ones(2), 0.0)
+        with pytest.raises(ValueError, match="W must be diagonal"):
+            stream_init(form, 1)
+
     def test_dimension_mismatch(self):
         r = type(random_rational(np.random.default_rng(0), 1))([0.5], [0.5], 1.0)
         state = stream_init(diagonal_power_form(r), 2)
@@ -244,6 +249,7 @@ class TestWriters:
         assert meta["n"] == 6 and meta["m"] == 3 and meta["zeta"] == 2.0
         assert meta["seed"] == 8 and meta["rng"] == RNG_NAME
         assert meta["factorization_path"] == "f.json"
+        assert meta["output_kind"] == PER_STEP
         np.testing.assert_allclose(meta["sigma"], cfg.sigma, rtol=1e-15)
 
 
