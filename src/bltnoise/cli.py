@@ -16,7 +16,6 @@ import numpy as np
 from .error_eval import (
     MECH_CSV_HEADER,
     bounds_csv,
-    bounds_table,
     max_err,
     rownorm_of,
     sensitivity_of,

@@ -8,10 +8,10 @@ steps into a pair for n1*n2 steps:
 
 where S is the down-shift matrix.  Iterating with the same base gives
 horizon n1^l with squared column norms adding exactly (sensitivity grows as
-sqrt(l)) and row norms bounded the same way.  The streaming form runs one
-lazily-stepped base streamer for the outer factor plus one fully-nested inner
-streamer at a time, so live state is l times the base state plus a carried
-m-vector.
+sqrt(l)) and row norms bounded the same way.  The streaming form works one
+base block of n1 rows at a time, with one n1 x n1 product per block plus a
+carry from each outer level; live state is (l - 1) n1 carry rows of width m
+and the n1 x n1 base.
 """
 
 from __future__ import annotations
@@ -20,16 +20,10 @@ import math
 
 import numpy as np
 
-from .params import BltFactorization, diagonal_power_form
-from .streaming import stream_init, stream_step
+from .params import BltFactorization, blt_coeffs
+from .seq import ltt_dense
 
 _DENSE_ROW_CAP = 1 << 12
-
-
-def _shift(n: int) -> np.ndarray:
-    S = np.zeros((n, n))
-    S[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return S
 
 
 def comb_dense(B1, B2) -> np.ndarray:
@@ -41,7 +35,7 @@ def comb_dense(B1, B2) -> np.ndarray:
     if n1 * n2 > _DENSE_ROW_CAP:
         raise ValueError(f"combined row count {n1 * n2} exceeds cap {_DENSE_ROW_CAP}")
     left = np.kron(np.eye(n1), B2)
-    right = np.kron(_shift(n1) @ B1, np.ones((n2, 1)))
+    right = np.kron(np.eye(n1, k=-1) @ B1, np.ones((n2, 1)))  # S B1
     return np.hstack([left, right])
 
 
@@ -81,50 +75,54 @@ def _next_noise(noise_source, m: int) -> np.ndarray:
 def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     """Iterate the n1^levels rows of B_levels @ Z, drawing Z on demand.
 
-    ``base_factory()`` must return a fresh step callable mapping one consumed
-    noise row to one output row of the base factor (called exactly n1 times
-    per instance).  Noise order is fixed: each block's inner recursion draws
-    first, then the outer carry streamer draws one row — including after the
-    final block, where the output is discarded (the shift matrix drops it).
+    ``base_factory(n1)`` returns the column ``b`` of the base factor B1, which
+    is n1 x n1 lower-triangular Toeplitz.  Each base block draws n1 rows and
+    yields ``B1 @ Z + zsum``; ``zsum`` adds every outer level's carry output
+    ``b[k::-1] @ hist[:k+1]`` over the k+1 carry rows its block has drawn.
+    Noise order is fixed: a block's inner recursion draws first, then the
+    outer level draws one carry row, also after its final block, whose output
+    the shift matrix drops.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     noise_source = iter(noise_source)
 
-    def run(level):
-        if level == 1:
-            step = base_factory()
-            for _ in range(n1):
-                yield step(_next_noise(noise_source, m))
-            return
-        carry_step = base_factory()
-        zp = np.zeros(m)
-        for _ in range(n1):
-            for row in run(level - 1):
-                yield row + zp
-            zp = carry_step(_next_noise(noise_source, m))
+    def blocks():
+        b = np.asarray(base_factory(n1), dtype=np.float64)
+        B1 = ltt_dense(b)
+        hist = np.zeros((levels - 1, n1, m))  # carry draws of levels 2..levels
+        carry, drawn = np.zeros((levels - 1, m)), [0] * (levels - 1)
+        zsum, z = np.zeros(m), np.empty((n1, m))
+        while True:
+            for i in range(n1):
+                z[i] = _next_noise(noise_source, m)
+            yield from B1 @ z + zsum
+            for lv in range(levels - 1):
+                k = drawn[lv]
+                hist[lv, k] = _next_noise(noise_source, m)
+                if k + 1 < n1:
+                    drawn[lv] = k + 1
+                    carry[lv] = b[k::-1] @ hist[lv, : k + 1]
+                    break
+                # the n1-th carry closes this level's block: the shift drops its output
+                drawn[lv] = 0
+                carry[lv] = 0.0
+            else:
+                return
+            zsum = carry.sum(axis=0)
 
-    return run(levels)
+    return blocks()
 
 
 def blt_base_factory(fact: BltFactorization, m: int):
-    """Factory of fresh B-side streamers (prefix-summed r stream) for a BLT base."""
-    form = diagonal_power_form(fact.rational())
-
-    def factory():
-        state = stream_init(form, m)
-        acc = np.zeros(m)
-
-        def step(z_row):
-            nonlocal acc
-            acc = acc + stream_step(state, z_row)
-            return acc.copy()
-
-        return step
-
-    return factory
+    """``n1 -> cumsum(r)[:n1]``, the base column of a BLT factorization for
+    ``recursive_stream``; ``m`` is the stream width, which the column ignores."""
+    r = fact.rational()
+    return lambda n1: np.cumsum(blt_coeffs(r, n1).coeffs)
 
 
 def theorem2_params(n: int):

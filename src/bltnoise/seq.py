@@ -117,7 +117,7 @@ def ltt_apply_dense(a, Z: np.ndarray) -> np.ndarray:
 
 
 def ltt_dense(a) -> np.ndarray:
-    """Materialize the ``n x n`` lower-triangular Toeplitz matrix of ``a`` (tests only)."""
+    """Materialize the ``n x n`` lower-triangular Toeplitz matrix of ``a``."""
     a = _as_seq(a)
     if a.n > MATRIX_CAP:
         raise ValueError(f"dense materialization capped at n = {MATRIX_CAP}")

@@ -4,7 +4,9 @@ The per-step noise stream is C^{-1} z where C^{-1} is lower-triangular
 Toeplitz with generator r, so each output row is t*z_k + u^T S with the d x m
 buffer updated as S <- diag(theta) S + v z_k.  Prefix-sum noise (B z, with
 b(x) = r(x)/(1-x)) is the running sum of the per-step rows, kept in one extra
-width-m buffer rather than folding a pole at 1 into the factorization.
+width-m buffer rather than folding a pole at 1 into the factorization.  The
+noise streams run this multiplier in chunks; ``stream_init``/``stream_step``
+are its public one-row form.
 
 Noise values are reproducible by construction: a Philox counter RNG keyed by
 the seed produces one uint64 per value in row-major order, mapped through the
@@ -46,7 +48,7 @@ class StreamState:
 
 
 def stream_init(form: MatrixPowerForm, m: int) -> StreamState:
-    """Zero-initialized d x m buffer state for streaming by ``form``.
+    """Zero d x m buffers of the one-row form of the streaming multiplier.
 
     ``form.W`` must be diagonal, as ``diagonal_power_form`` builds it.
     """
@@ -59,7 +61,7 @@ def stream_init(form: MatrixPowerForm, m: int) -> StreamState:
 
 
 def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
-    """Advance one step: S <- diag(W) S + v z, output t*z + u^T S."""
+    """One row of the streaming multiplier: S <- diag(W) S + v z, out t*z + u^T S."""
     z = np.asarray(z_row, dtype=np.float64)
     if z.shape != (state.m,):
         raise ValueError(f"z_row must have shape ({state.m},)")

@@ -2,13 +2,12 @@
 
 import json
 import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from bltnoise.cli import main
-from bltnoise.error_eval import opt_lt_toe, sensitivity_of
+from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
 from bltnoise.params import load_factorization
 
 
@@ -421,6 +420,23 @@ class TestRecursive:
         base = self.make_base(capsys, tmp_path, 8)
         code, _, _ = run(capsys, "recursive", "--base", base, "--levels", "0")
         assert code == 2
+
+
+class TestOptimize:
+    def test_printed_ratio_is_eval_of_saved_file(self, capsys, tmp_path):
+        out_path = str(tmp_path / "opt.json")
+        code, out, _ = run(
+            capsys, "optimize", "--degree", "3", "--steps", "10000",
+            "--max-iters", "40", "--out", out_path,
+        )
+        assert code == 0
+        info = json.loads(out)
+        rep = max_err(load_factorization(out_path), 10_000)
+        assert info["max_err"] == rep.max_err
+        assert info["ratio"] == rep.max_err / opt_lt_toe(10_000)
+        code, out, _ = run(capsys, "eval", "--blt", out_path)
+        assert code == 0
+        assert json.loads(out)["ratio_to_opt_lt_toe"] == info["ratio"]
 
 
 class TestUsageErrors:

@@ -10,7 +10,6 @@ import pytest
 from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
 from bltnoise.params import blt_coeffs
 from bltnoise.rational import (
-    SqrtApproxTerms,
     degree_for_error,
     newman_error_bound,
     newman_sqrt,

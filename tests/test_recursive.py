@@ -206,6 +206,46 @@ class TestRecursiveStream:
             recursive_stream(lambda: None, 2, 0, 1, iter([]))
 
 
+class TestBlockStream:
+    """The streamer works one base block of n1 rows at a time."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_theorem2_base_matches_dense(self, levels):
+        # theorem2_params(10**5) base: n1 = 12 steps, degree 51
+        n1, m = 12, 3
+        fact = ra_blt_build(51, n1)
+        B1 = ltt_dense(np.cumsum(blt_coeffs(fact.rational(), n1).coeffs))
+        B = B1
+        for _ in range(levels - 1):
+            B = comb_dense(B1, B)
+        rng = np.random.default_rng(levels)
+        Z = rng.normal(size=(B.shape[1], m))
+        source = iter([Z[p] for p in consumption_perm(n1, levels)])
+        gen = recursive_stream(blt_base_factory(fact, m), n1, levels, m, source)
+        got = np.vstack(list(islice(gen, n1**levels)))
+        np.testing.assert_allclose(got, B @ Z, rtol=0, atol=1e-12)
+
+    def test_first_row_draws_one_base_block(self):
+        n1, levels, m = 4, 3, 2
+        fact = random_factorization(np.random.default_rng(14), 2, n=n1)
+        count = 0
+
+        def counted():
+            nonlocal count
+            while True:
+                count += 1
+                yield np.ones(m)
+
+        gen = recursive_stream(blt_base_factory(fact, m), n1, levels, m, counted())
+        next(gen)
+        assert count == n1
+
+    def test_width_validated_at_call(self):
+        fact = random_factorization(np.random.default_rng(15), 1, n=2)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            recursive_stream(blt_base_factory(fact, 0), 2, 2, 0, iter([]))
+
+
 class TestRecursiveFactorization:
     """l levels of an n1 x n1' base give B of n1^l x n1' (n1^l - 1)/(n1 - 1)."""
 

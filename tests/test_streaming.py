@@ -2,11 +2,9 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from bltnoise.params import (
     BltFactorization,
@@ -14,13 +12,12 @@ from bltnoise.params import (
     blt_coeffs,
     diagonal_power_form,
 )
-from bltnoise.seq import ToeplitzSeq, ltt_apply_dense
+from bltnoise.seq import ltt_apply_dense
 from bltnoise.streaming import (
     PER_STEP,
     PREFIX,
     RNG_NAME,
     NoiseStreamConfig,
-    _uniform_chunk,
     noise_stream,
     stream_init,
     stream_step,
