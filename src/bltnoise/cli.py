@@ -111,6 +111,7 @@ def _cmd_optimize(args) -> int:
                 "ratio": res.factorization.meta["final_ratio"],
                 "iterations": res.iterations,
                 "converged": res.converged,
+                "stop_reason": res.stop_reason,
             }
         )
     )

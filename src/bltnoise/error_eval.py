@@ -16,7 +16,6 @@ in the optimizer relies on.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -319,7 +318,6 @@ def max_err(fact: BltFactorization, n: int | None = None) -> MaxErrReport:
 
 # --- reference bounds ---------------------------------------------------------
 
-_f2_lock = threading.Lock()
 _f2_cumsum = np.ones(1)
 
 
@@ -328,13 +326,12 @@ def opt_lt_toe(n: int) -> float:
     global _f2_cumsum
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _f2_lock:
-        if n > _f2_cumsum.size:
-            size = max(n, 2 * _f2_cumsum.size)
-            f = np.ones(size)
-            f[1:] = np.cumprod(1.0 - 0.5 / np.arange(1, size))
-            _f2_cumsum = np.cumsum(f * f)
-        return float(_f2_cumsum[n - 1])
+    if n > _f2_cumsum.size:
+        size = max(n, 2 * _f2_cumsum.size)
+        f = np.ones(size)
+        f[1:] = np.cumprod(1.0 - 0.5 / np.arange(1, size))
+        _f2_cumsum = np.cumsum(f * f)
+    return float(_f2_cumsum[n - 1])
 
 
 def mathias_ub(n: int) -> float:

@@ -9,8 +9,17 @@ Gradients are exact: every building block (geometric sums, residues, norms)
 is complex-safe, so a 1e-20 imaginary step gives the derivative to machine
 precision with none of the cancellation of finite differences.  The search
 runs in logit space (an unconstrained reparameterization of (0,1)) with a
-dense BFGS inverse-Hessian estimate and Armijo backtracking, accepting only
-loss decreases and returning the best iterate seen.
+dense BFGS inverse-Hessian estimate and Armijo backtracking.  Every step it
+takes strictly lowers the loss, so the last iterate is the best one.  It stops
+at the first of:
+
+- ``"grad_tol"``: the largest gradient component in theta space is at most
+  ``grad_tol`` (the only stop reported as ``converged``);
+- ``"no_decrease"``: the line search accepts a step that does not lower the
+  loss, i.e. the step has shrunk to rounding (the loss plateau);
+- ``"line_search_failed"``: no step passes Armijo within the backtrack budget;
+- ``"gradient_failed"``: the gradient is not finite at the current point;
+- ``"max_iters"``: ``max_iters`` iterations ran.
 """
 
 from __future__ import annotations
@@ -58,7 +67,14 @@ class OptResult:
     final_loss: float
     final_max_err: float
     iterations: int
-    converged: bool
+    stop_reason: str
+    # per iteration: (loss and max |gradient| in logit coordinates at its
+    # start, step taken (0.0 where it stopped), backtracks)
+    trace: list
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
 
 def geometric_ladder(degree: int, n: int):
@@ -97,10 +113,13 @@ def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
             return math.inf
     try:
-        value = _loss_core(theta, theta_hat, n, barrier_weight)
+        # a trial point far outside the basin can overflow the residue
+        # products; the loss there is +inf, so the warnings carry nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = float(np.real(_loss_core(theta, theta_hat, n, barrier_weight)))
     except ValueError:
         return math.inf
-    return float(np.real(value))
+    return value if math.isfinite(value) else math.inf
 
 
 def gradient(theta, theta_hat, n: int, barrier_weight: float) -> np.ndarray:
@@ -164,8 +183,12 @@ def _validity_recheck(fact: BltFactorization, m: int) -> None:
 def optimize_blt(cfg: OptConfig) -> OptResult:
     """Quasi-Newton minimization of the barrier-augmented MaxErr.
 
-    Runs BFGS in logit space with monotone Armijo backtracking; returns the
-    best iterate (converged=False on hitting max_iters is not an error).
+    Runs BFGS in logit space with monotone Armijo backtracking and returns the
+    last iterate, which is the best one.  The search stops at the first
+    accepted step that does not lower the loss (``"no_decrease"``), or for one
+    of the other reasons listed in the module docstring; ``stop_reason`` says
+    which, and ``fact.meta`` records it next to ``iterations``.  Stopping for
+    any reason but ``"grad_tol"`` gives ``converged=False`` and is not an error.
     """
     if cfg.init == "geometric_ladder":
         theta0, theta_hat0 = geometric_ladder(cfg.degree, cfg.n)
@@ -191,23 +214,27 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
     f_cur = f_of(x)
     if not np.isfinite(f_cur):
         raise ValueError("initialization is infeasible (infinite loss)")
-    best_f, best_x = f_cur, x.copy()
 
     H = np.eye(2 * d)
     prev_x = prev_g = None
-    converged = False
+    stop_reason = "max_iters"
+    trace = []
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         th, thh = params_of(x)
         try:
             g_p = gradient(th, thh, n, w)
         except ValueError:
-            break
-        if np.max(np.abs(g_p)) <= cfg.grad_tol:
-            converged = True
+            trace.append((f_cur, math.nan, 0.0, 0))
+            stop_reason = "gradient_failed"
             break
         p_all = np.concatenate([th, thh])
         g_x = g_p * p_all * (1.0 - p_all)
+        g_max = float(np.max(np.abs(g_x)))
+        if np.max(np.abs(g_p)) <= cfg.grad_tol:
+            trace.append((f_cur, g_max, 0.0, 0))
+            stop_reason = "grad_tol"
+            break
         if prev_x is not None:
             s = x - prev_x
             yv = g_x - prev_g
@@ -223,24 +250,33 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
             direction = -g_x
             slope = -(g_x @ g_x)
         alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
+        for backtracks in range(_MAX_BACKTRACKS):
             x_new = x + alpha * direction
             f_new = f_of(x_new)
             if f_new <= f_cur + _ARMIJO_C1 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
+            trace.append((f_cur, g_max, 0.0, _MAX_BACKTRACKS))
+            stop_reason = "line_search_failed"
             break
+        # with slope < 0, Armijo accepts f_new >= f_cur only once the step
+        # is lost to rounding: the loss has reached its plateau
+        if f_new >= f_cur:
+            trace.append((f_cur, g_max, 0.0, backtracks))
+            stop_reason = "no_decrease"
+            break
+        trace.append((f_cur, g_max, alpha, backtracks))
         prev_x, prev_g = x, g_x
         x, f_cur = x_new, f_new
-        if f_cur < best_f:
-            best_f, best_x = f_cur, x.copy()
 
-    th, thh = params_of(best_x)
+    th, thh = params_of(x)
     fact = BltFactorization(
-        th, thh, n, method="opt", meta={"n_target": n, "iterations": iterations}
+        th,
+        thh,
+        n,
+        method="opt",
+        meta={"n_target": n, "iterations": iterations, "stop_reason": stop_reason},
     )
     # the evaluator of `blt eval`, so a saved file reports the same ratio
     final_max_err = max_err(fact, n).max_err
@@ -250,8 +286,9 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         raise RuntimeError("MaxErr below the lower bound; evaluation is inconsistent")
     return OptResult(
         factorization=fact,
-        final_loss=float(best_f),
+        final_loss=float(f_cur),
         final_max_err=float(final_max_err),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
+        trace=trace,
     )

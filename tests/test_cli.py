@@ -438,6 +438,19 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out)["ratio_to_opt_lt_toe"] == info["ratio"]
 
+    def test_stop_reason_printed_and_saved(self, capsys, tmp_path):
+        out_path = str(tmp_path / "opt.json")
+        code, out, _ = run(
+            capsys, "optimize", "--degree", "3", "--steps", "10000", "--out", out_path
+        )
+        assert code == 0
+        info = json.loads(out)
+        assert info["stop_reason"] == "no_decrease"
+        assert info["converged"] is False
+        meta = load_factorization(out_path).meta
+        assert meta["stop_reason"] == info["stop_reason"]
+        assert meta["iterations"] == info["iterations"]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -5,9 +5,12 @@ A definition passes when another module of the package names it, its own
 module uses it beyond the definition, or ``bltnoise.__all__`` exports it.
 The only exceptions are the test oracles below, each with its reason.
 No linter is part of the toolchain, so the import check lives here too.
+The benchmark tracer wraps package names by ``getattr``; they must resolve.
 """
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import bltnoise
@@ -73,3 +76,15 @@ def test_every_module_level_import_is_named():
             if name not in names
         ]
     assert unused == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # run_path compiles the source without writing bytecode next to it
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    entries = tracing["TIMED"] + tracing["ITERATED"] + tracing["COUNTED"]
+    missing = [
+        f"{module}.{name}"
+        for module, name, *_ in entries
+        if not hasattr(importlib.import_module(f"bltnoise.{module}"), name)
+    ]
+    assert missing == []

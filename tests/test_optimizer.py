@@ -1,10 +1,13 @@
 """Tests for the quasi-Newton MaxErr minimizer and its exact gradients."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bltnoise import optimizer
 from bltnoise.error_eval import matousek_lb, max_err, opt_lt_toe
 from bltnoise.optimizer import (
     OptConfig,
@@ -206,3 +209,73 @@ class TestOptimizeBlt:
             OptConfig(degree=1, n=1)
         with pytest.raises(ValueError):
             optimize_blt(OptConfig(degree=2, n=100, init=([0.5], [0.6])))
+
+
+class TestStopReason:
+    @pytest.mark.parametrize(
+        "degree, n, iterations, ratio",
+        [
+            (3, 10**4, 43, 1.0088147136950119),
+            (4, 10**4, 96, 1.0012772795252223),
+            (5, 10**5, 125, 1.001154018250501),
+        ],
+    )
+    def test_stops_at_the_plateau(self, degree, n, iterations, ratio):
+        res = optimize_blt(OptConfig(degree=degree, n=n))
+        assert res.stop_reason == "no_decrease"
+        assert not res.converged
+        assert res.iterations == iterations
+        assert res.factorization.meta["stop_reason"] == "no_decrease"
+        assert res.factorization.meta["iterations"] == iterations
+        assert res.factorization.meta["final_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+    def test_max_iters(self):
+        res = optimize_blt(OptConfig(degree=4, n=10_000, max_iters=3))
+        assert res.stop_reason == "max_iters"
+        assert res.iterations == len(res.trace) == 3
+        # the third step was taken, so the result lies past the last entry
+        assert res.final_loss < res.trace[-1][0]
+
+    def test_grad_tol_is_the_converged_stop(self):
+        res = optimize_blt(OptConfig(degree=2, n=100, grad_tol=1e9))
+        assert res.stop_reason == "grad_tol" and res.converged
+        assert res.iterations == len(res.trace) == 1
+
+    def test_line_search_failed(self, monkeypatch):
+        # the start point scores 1, every trial point after it scores 2
+        calls = itertools.count()
+        monkeypatch.setattr(optimizer, "loss", lambda *args: 1.0 if next(calls) == 0 else 2.0)
+        res = optimize_blt(OptConfig(degree=2, n=100))
+        assert res.stop_reason == "line_search_failed"
+        assert res.iterations == 1
+        assert res.trace[0][0] == res.final_loss == 1.0
+        assert res.trace[0][2:] == (0.0, 60)
+
+    def test_gradient_failed(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("loss is infinite at the evaluation point")
+
+        monkeypatch.setattr(optimizer, "gradient", fail)
+        res = optimize_blt(OptConfig(degree=2, n=100))
+        assert res.stop_reason == "gradient_failed"
+        assert res.iterations == len(res.trace) == 1
+        assert math.isnan(res.trace[0][1])
+
+    def test_trace(self):
+        res = optimize_blt(OptConfig(degree=3, n=10**4))
+        losses = [entry[0] for entry in res.trace]
+        assert len(res.trace) == res.iterations
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+        assert losses[-1] == res.final_loss
+        grads, steps, backtracks = zip(*[entry[1:] for entry in res.trace])
+        assert all(g > 0.0 for g in grads)
+        assert all(s > 0.0 for s in steps[:-1]) and steps[-1] == 0.0
+        assert all(isinstance(b, int) and 0 <= b < 60 for b in backtracks)
+
+    def test_trial_points_raise_no_numpy_warnings(self):
+        # some line-search probes at this point drive theta to ~1e-59, where
+        # the residue products overflow; the loss there is simply +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_blt(OptConfig(degree=6, n=10**6))
+        assert np.isfinite(res.final_max_err)
