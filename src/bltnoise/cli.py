@@ -35,6 +35,7 @@ from .streaming import (
     PREFIX,
     NoiseStreamConfig,
     _uniform_chunk,
+    ndtri,
     noise_stream,
     write_noise_csv,
     write_noise_f64,
@@ -164,8 +165,6 @@ def _cmd_verify(args) -> int:
         streamed[kind] = np.vstack(list(noise_stream(cfg)))
     sigma = cfg.sigma
     bitgen = np.random.Philox(key=int(args.seed))
-    from scipy.special import ndtri
-
     z = ndtri(_uniform_chunk(bitgen, n * m)).reshape(n, m) * sigma
     r = blt_coeffs(fact.rational(), n).coeffs
     dense_per = ltt_apply_dense(r, z)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 # Dense/reference routines refuse to run past these sizes; they exist for
 # testing, not production streaming.
@@ -121,6 +120,5 @@ def ltt_dense(a) -> np.ndarray:
     a = _as_seq(a)
     if a.n > MATRIX_CAP:
         raise ValueError(f"dense materialization capped at n = {MATRIX_CAP}")
-    first_row = np.zeros(a.n)
-    first_row[0] = a.coeffs[0]
-    return toeplitz(a.coeffs, first_row)
+    lag = np.arange(a.n)[:, None] - np.arange(a.n)
+    return np.tril(a.coeffs[np.maximum(lag, 0)])

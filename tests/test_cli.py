@@ -299,6 +299,17 @@ class TestNoisegen:
         vals = np.loadtxt(out_path, delimiter=",", skiprows=1)[:, 1:]
         np.testing.assert_array_equal(vals, 0.0)
 
+    @pytest.mark.parametrize("zeta", ["nan", "inf"])
+    def test_non_finite_zeta_exits_2(self, capsys, tmp_path, blt_file, zeta):
+        out_path = tmp_path / "bad.csv"
+        code, out, err = run(
+            capsys, "noisegen", "--blt", blt_file, "--steps", "8", "--dim", "1",
+            "--zeta", zeta, "--out", str(out_path),
+        )
+        assert code == 2
+        assert "zeta" in err and out == ""
+        assert not out_path.exists()
+
 
 class TestVerify:
     @pytest.fixture()

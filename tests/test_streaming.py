@@ -14,10 +14,12 @@ from bltnoise.params import (
 )
 from bltnoise.seq import ltt_apply_dense
 from bltnoise.streaming import (
+    ENGINE,
     PER_STEP,
     PREFIX,
     RNG_NAME,
     NoiseStreamConfig,
+    _noise_chunks,
     noise_stream,
     stream_init,
     stream_step,
@@ -123,6 +125,12 @@ class TestNoiseStreamConfig:
         with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 8, 1, seed=0, zeta=1.0, output_kind="bogus")
 
+    @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_zeta_rejected(self, zeta):
+        fact = BltFactorization([0.5], [0.75], 8)
+        with pytest.raises(ValueError, match="zeta"):
+            NoiseStreamConfig(fact, 8, 1, seed=0, zeta=zeta)
+
     def test_frozen_so_sigma_cannot_go_stale(self):
         cfg = NoiseStreamConfig(BltFactorization([0.5], [0.75], 8), 8, 1, seed=0, zeta=1.0)
         sigma = cfg.sigma
@@ -219,6 +227,52 @@ class TestNoiseStream:
         np.testing.assert_allclose(a, b, rtol=0, atol=0)
 
 
+class TestBlockEngine:
+    """Contracts of the block-Toeplitz engine: 64-row blocks aligned to
+    absolute rows, 128-column tiles aligned to absolute columns."""
+
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    def test_shards_across_tile_edges_bitwise(self, kind):
+        rng = np.random.default_rng(41)
+        fact = random_factorization(rng, 3, 64)
+        cfg = NoiseStreamConfig(fact, 200, 300, seed=43, zeta=1.0, output_kind=kind)
+        full = np.vstack(list(noise_stream(cfg)))
+        for cols in ([127, 128], [250, 3], [270], list(range(3, 300))):
+            shard = np.vstack(list(noise_stream(cfg, columns=cols)))
+            assert np.array_equal(shard, full[:, cols]), cols
+
+    @pytest.mark.parametrize("degree, zeta", [(0, 1.0), (2, 0.0)])
+    def test_chunk_rows_only_reslice(self, degree, zeta):
+        n = 1100  # 17 blocks of 64 and a tail of 12
+        fact = random_factorization(np.random.default_rng(47), degree, 64)
+        cfg = NoiseStreamConfig(fact, n, 3, seed=53, zeta=zeta, output_kind=PREFIX)
+        a = np.vstack([blk for _, blk in _noise_chunks(cfg)])
+        chunks = list(_noise_chunks(cfg, chunk_rows=7))
+        assert [s for s, _ in chunks] == list(range(0, n, 7))
+        assert np.array_equal(np.vstack([blk for _, blk in chunks]), a)
+        if zeta == 0.0:
+            assert not a.any()
+
+    def test_prefix_is_the_exact_running_sum(self):
+        fact = random_factorization(np.random.default_rng(73), 3, 64)
+        cfg = NoiseStreamConfig(fact, 2100, 2, seed=79, zeta=1.0)
+        per = np.vstack(list(noise_stream(cfg)))
+        pre = np.vstack(list(noise_stream(dataclasses.replace(cfg, output_kind=PREFIX))))
+        assert np.array_equal(pre, np.cumsum(per, axis=0))
+
+    def test_matches_stream_step_loop(self):
+        rng = np.random.default_rng(59)
+        n, m = 2100, 3  # two full 1024-row batches and a tail
+        fact = random_factorization(rng, 4, n)
+        cfg = NoiseStreamConfig(fact, n, m, seed=61, zeta=1.0)
+        got = np.vstack(list(noise_stream(cfg)))
+        z = reference_normals(61, n, m) * cfg.sigma
+        state = stream_init(diagonal_power_form(fact.rational()), m)
+        want = np.vstack([stream_step(state, z[k]) for k in range(n)])
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 class TestWriters:
     def test_csv_writer(self, tmp_path):
         fact = BltFactorization([0.5], [0.75], 4)
@@ -233,6 +287,18 @@ class TestWriters:
         got = np.vstack(list(noise_stream(cfg)))
         np.testing.assert_allclose(float(row0[1]), got[0, 0], rtol=1e-15)
 
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(67)
+        fact = random_factorization(rng, 2, 64)
+        cfg = NoiseStreamConfig(fact, 70, 4, seed=71, zeta=3.0, output_kind=PREFIX)
+        path = tmp_path / "noise.csv"
+        write_noise_csv(cfg, path)
+        rows = np.vstack(list(noise_stream(cfg)))
+        want = "step,dim0,dim1,dim2,dim3\n" + "".join(
+            str(i) + "," + ",".join(f"{x:.17g}" for x in row) + "\n" for i, row in enumerate(rows)
+        )
+        assert path.read_bytes() == want.encode()
+
     def test_f64_writer_and_sidecar(self, tmp_path):
         fact = BltFactorization([0.5], [0.75], 6)
         cfg = NoiseStreamConfig(fact, 6, 3, seed=8, zeta=2.0)
@@ -245,6 +311,7 @@ class TestWriters:
         assert sidecar == str(tmp_path / "noise.f64.json")
         assert meta["n"] == 6 and meta["m"] == 3 and meta["zeta"] == 2.0
         assert meta["seed"] == 8 and meta["rng"] == RNG_NAME
+        assert meta["engine"] == ENGINE
         assert meta["factorization_path"] == "f.json"
         assert meta["output_kind"] == PER_STEP
         np.testing.assert_allclose(meta["sigma"], cfg.sigma, rtol=1e-15)
