@@ -70,6 +70,8 @@ def _str_list(text: str):
 def _cmd_bounds(args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    if args.log_grid < 0:
+        raise ValueError("--log-grid must be >= 0")
     if args.log_grid:
         ns = np.unique(
             np.clip(np.round(np.geomspace(1, args.n_max, args.log_grid)), 1, args.n_max)

@@ -1,6 +1,9 @@
 """Shared test utilities: random factorization generators and dense reference
 constructions that are deliberately independent of the library internals."""
 
+import functools
+
+import mpmath
 import numpy as np
 from scipy.special import ndtri
 
@@ -49,6 +52,86 @@ def reciprocal_coeffs_direct(fact, n):
         s[k] = -c / r0
         y = theta * y - v * c
     return s
+
+
+def mp_residues(poles, zeros, dps=50):
+    """Residues ``p_i prod_k (1 - z_k/p_i) / prod_{j != i} (1 - p_j/p_i)`` in mpmath.
+
+    ``mp_residues(theta, theta_hat)`` are B's residues omega and
+    ``mp_residues(theta_hat, theta)`` C's residues omega_hat.
+    """
+    with mpmath.workdps(dps):
+        poles = [mpmath.mpf(p) for p in poles]
+        zeros = [mpmath.mpf(z) for z in zeros]
+        return [
+            p
+            * mpmath.fprod(1 - z / p for z in zeros)
+            / mpmath.fprod(1 - q / p for j, q in enumerate(poles) if j != i)
+            for i, p in enumerate(poles)
+        ]
+
+
+def _mp_gamma(t, n):
+    """Geometric prefix sum ``gamma_n(t) = sum_{i<n} t^i``."""
+    return (1 - t**n) / (1 - t) if t != 1 else mpmath.mpf(n)
+
+
+def mp_sensitivity(omega_hat, theta_hat, n, dps=50):
+    """C-side residue-form oracle of ``||C||_{1->2}`` over ``n`` steps, in mpmath.
+
+    C's generator is ``1/r = 1 + sum_j w_j x / (1 - t_j x)`` with the C-side
+    residues w = omega_hat and roots t = theta_hat, so its squared column
+    norm is ``1 + sum_{j,k} w_j w_k gamma_{n-1}(t_j t_k)``.  This is the
+    residue form the library evaluated before its single Stein-sum evaluator.
+    """
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(x) for x in omega_hat]
+        t = [mpmath.mpf(x) for x in theta_hat]
+        total = mpmath.fsum(
+            w[j] * w[k] * _mp_gamma(t[j] * t[k], n - 1)
+            for j in range(len(w))
+            for k in range(len(w))
+        )
+        return float(mpmath.sqrt(1 + total))
+
+
+def mp_rownorm(omega, theta, n, dps=50):
+    """B-side residue-form oracle of ``||B||_{2->inf}`` over ``n`` steps, in mpmath.
+
+    With ``b_i = 1 + sum_j w_j gamma_i(t_j)`` the squared norm is
+    ``n + 2 sum_j w_j G1(t_j) + sum_{j,k} w_j w_k G2(t_j, t_k)``, where
+    ``G1(t) = sum_{i<n} gamma_i(t)`` and ``G2(a, b) = sum_{i<n} gamma_i(a)
+    gamma_i(b)`` in closed form.  A pole at exactly 1 is summed term by term.
+    """
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(x) for x in omega]
+        t = [mpmath.mpf(x) for x in theta]
+        if any(x == 1 for x in t):
+            assert n <= 10**4, "term-by-term sum"
+            b = (1 + mpmath.fsum(wj * _mp_gamma(tj, i) for wj, tj in zip(w, t)) for i in range(n))
+            return float(mpmath.sqrt(mpmath.fsum(x * x for x in b)))
+
+        def g1(a):
+            return (n - _mp_gamma(a, n)) / (1 - a)
+
+        def g2(a, b):
+            return (n - _mp_gamma(a, n) - _mp_gamma(b, n) + _mp_gamma(a * b, n)) / ((1 - a) * (1 - b))
+
+        d = len(w)
+        total = (
+            n
+            + 2 * mpmath.fsum(w[j] * g1(t[j]) for j in range(d))
+            + mpmath.fsum(w[j] * w[k] * g2(t[j], t[k]) for j in range(d) for k in range(d))
+        )
+        return float(mpmath.sqrt(total))
+
+
+@functools.lru_cache(maxsize=None)
+def optimized_d5():
+    """``optimize_blt`` at d=5, n=10^5, the benchmark's configuration (run once)."""
+    from bltnoise.optimizer import OptConfig, optimize_blt
+
+    return optimize_blt(OptConfig(degree=5, n=10**5)).factorization
 
 
 def consumption_perm(n1, levels):

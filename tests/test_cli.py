@@ -44,6 +44,14 @@ class TestBounds:
         assert ns == sorted(ns)
         assert ns[0] == 1 and ns[-1] == 1000
 
+    def test_negative_log_grid(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n-max", "10", "--log-grid", "-3")
+        assert code == 2 and out == ""
+        assert "--log-grid must be >= 0" in err
+        # 0 keeps meaning every n
+        code, out, _ = run(capsys, "bounds", "--n-max", "10", "--log-grid", "0")
+        assert code == 0 and len(csv_rows(out)[1]) == 10
+
     def test_bad_n_max(self, capsys):
         code, _, err = run(capsys, "bounds", "--n-max", "0")
         assert code == 2

@@ -1,20 +1,18 @@
 """Tests for the closed-form error norms and the reference bound table.
 
-The closed forms are checked three ways: hand-computed small cases, direct
-O(n d) coefficient summation, and a high-precision oracle (mpmath) aimed at
-the series branch near theta = 1 where naive evaluation loses all digits.
+Both norms come from one doubling Stein sum.  They are checked three ways:
+hand-computed small cases, direct O(n d) coefficient summation, and
+high-precision residue-form oracles (mpmath, ``tests/helpers.py``) aimed at
+poles next to 1, where the textbook geometric-sum ratio loses all digits.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from bltnoise.error_eval import (
     EULER_GAMMA,
-    _gsum1,
-    _gsum2,
     bounds_table,
     bounds_csv,
     BOUNDS_CSV_HEADER,
@@ -23,6 +21,7 @@ from bltnoise.error_eval import (
     max_err,
     opt_lt_toe,
     rownorm_closed,
+    rownorm_of,
     sensitivity_closed,
     sensitivity_of,
 )
@@ -30,69 +29,129 @@ from bltnoise.params import BltFactorization, blt_coeffs, degree1_closed_form
 from bltnoise.rational import ra_blt_build
 from bltnoise.seq import series_reciprocal
 
-from helpers import random_factorization, random_rational, reciprocal_coeffs_direct
+from helpers import (
+    mp_residues,
+    mp_rownorm,
+    mp_sensitivity,
+    optimized_d5,
+    random_factorization,
+    random_rational,
+    reciprocal_coeffs_direct,
+)
 
 
-def mp_gamma_n(theta, n):
-    theta = mpmath.mpf(theta)
-    return (1 - theta**n) / (1 - theta) if theta != 1 else mpmath.mpf(n)
+def direct_stein(M, v, n):
+    """``sum_{j<n} M^j v v^T (M^j)^T`` one power at a time."""
+    G = np.zeros((v.size, v.size), dtype=np.result_type(M, v))
+    x = v
+    for _ in range(n):
+        G += np.outer(x, x)
+        x = M @ x
+    return G
 
 
-def mp_gsum1(theta, n):
-    """sum_{k<n} gamma_k(theta) = (n - gamma_n(theta)) / (1 - theta)."""
-    theta = mpmath.mpf(theta)
-    return (n - mp_gamma_n(theta, n)) / (1 - theta)
+class TestStein:
+    """``geometric_prefix``, the doubling Stein sum both norms evaluate."""
 
+    def test_hand_value(self):
+        # 1 + 1/4 + 1/16
+        assert geometric_prefix(np.array([[0.5]]), np.array([1.0]), 3)[0, 0] == 1.3125
 
-def mp_gsum2(t1, t2, n):
-    """sum_{k<n} gamma_k(t1) gamma_k(t2) expanded into four geometric sums."""
-    t1, t2 = mpmath.mpf(t1), mpmath.mpf(t2)
-    total = n - mp_gamma_n(t1, n) - mp_gamma_n(t2, n) + mp_gamma_n(t1 * t2, n)
-    return total / ((1 - t1) * (1 - t2))
+    def test_zero_terms(self):
+        G = geometric_prefix(np.eye(3), np.ones(3), 0)
+        assert G.shape == (3, 3) and not G.any()
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            geometric_prefix(np.eye(2), np.ones(2), -1)
+
+    def test_matches_direct_sum(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 7, 64, 1000):
+            M = 0.3 * rng.standard_normal((4, 4))
+            v = rng.standard_normal(4)
+            np.testing.assert_allclose(geometric_prefix(M, v, n), direct_stein(M, v, n), rtol=1e-12)
+
+    def test_batch_matches_each_slice(self):
+        rng = np.random.default_rng(13)
+        M = 0.3 * rng.standard_normal((3, 2, 4, 4))
+        v = rng.standard_normal((3, 2, 4))
+        G = geometric_prefix(M, v, 777)
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(G[idx], geometric_prefix(M[idx], v[idx], 777))
+
+    def test_complex_step_is_not_conjugated(self):
+        """A 1e-20 imaginary step gives the derivative of the real sum."""
+        rng = np.random.default_rng(14)
+        M = 0.3 * rng.standard_normal((4, 4))
+        v = rng.standard_normal(4)
+        dM = rng.standard_normal((4, 4))
+        n, h = 100, 1e-6
+        got = geometric_prefix(M + 1e-20j * dM, v, n).imag / 1e-20
+        fd = (direct_stein(M + h * dM, v, n) - direct_stein(M - h * dM, v, n)) / (2 * h)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
 
 
 class TestGeometricPrefix:
+    """Poles next to 1 in both norms, in the regimes the old series zone
+    ``n |1 - theta| < 1/2`` split: theta = 1, just inside, just outside."""
+
+    REGIMES = [
+        (1.0 - 1e-12, 10**6),
+        (1.0 - 1e-9, 10**6),
+        (1.0 - 1e-7, 10**5),
+        (1.0 - 4.9e-7, 10**6),   # n |1 - theta| = 0.49
+        (1.0 - 5.1e-7, 10**6),   # n |1 - theta| = 0.51
+    ]
+
     def test_hand_value(self):
-        assert geometric_prefix(0.5, 3) == 1.75
+        # r = [1, 0.5, 0.25], prefix sums b = [1, 1.5, 1.75]
+        got = rownorm_closed([0.5], [0.5], 3)
+        assert got == math.sqrt(1.0 + 1.5**2 + 1.75**2)
 
     def test_theta_one(self):
-        assert geometric_prefix(1.0, 100) == 100.0
+        # r = [1, 1, 1, ...], so b_i = i + 1 and sum_{i<100} b_i^2 = 338350
+        assert rownorm_closed([1.0], [1.0], 100) == math.sqrt(338350)
+        # C-side pole at 1: 1/r = (1 - x/2)/(1 - x) = 1 + x/2 + x^2/2 + ...
+        assert sensitivity_closed([-0.5], [0.5], 100) == math.sqrt(1.0 + 0.25 * 99)
 
     def test_zero_terms(self):
-        assert geometric_prefix(0.7, 0) == 0.0
+        assert rownorm_closed([0.3], [0.7], 0) == 0.0
 
     def test_near_one_against_mpmath(self):
-        mpmath.mp.dps = 60
-        for theta, n in [
-            (1.0 - 1e-12, 10**6),
-            (1.0 - 1e-9, 10**6),
-            (1.0 - 1e-7, 10**5),
-            (1.0 - 4.9e-7, 10**6),   # just inside the series branch
-            (1.0 - 5.1e-7, 10**6),   # just outside, direct formula
-        ]:
-            got = geometric_prefix(theta, n)
-            want = float(mp_gamma_n(theta, n))
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+        for theta, n in self.REGIMES:
+            for w in (0.5, -(1.0 - theta) / 2, -1.0):
+                got = rownorm_closed([w], [theta], n)
+                np.testing.assert_allclose(got, mp_rownorm([w], [theta], n, dps=60), rtol=1e-9)
+            # the same regimes as C's pole theta_hat; for d=1 the residues are
+            # the exact root differences
+            theta_hat = theta
+            for pole in (0.5, theta_hat - 1e-3, theta_hat - 1e-8):
+                got = sensitivity_closed([pole - theta_hat], [pole], n)
+                want = mp_sensitivity([theta_hat - pole], [theta_hat], n, dps=60)
+                np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_small_n_series_is_exact(self):
-        """In the series zone with tiny integer n the binomial series terminates."""
+        """With tiny n next to 1 both norms are their few terms, to rounding."""
         theta = 1.0 - 1e-9
-        got = geometric_prefix(theta, 3)
-        want = 1.0 + theta + theta * theta
-        np.testing.assert_allclose(got, want, rtol=1e-15)
+        got = rownorm_closed([0.25], [theta], 3)
+        b = np.cumsum([1.0, 0.25, 0.25 * theta])
+        np.testing.assert_allclose(got, math.sqrt(np.sum(b * b)), rtol=1e-15)
+        got = sensitivity_closed([-0.25], [theta - 0.25], 3)
+        # 1/r = 1 + 0.25 x + 0.25 theta x^2 + ...
+        np.testing.assert_allclose(got, math.sqrt(1.0 + 0.0625 * (1.0 + theta * theta)), rtol=1e-15)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            geometric_prefix(-0.2, 5)
+            rownorm_closed([0.5], [-0.2], 5)
         with pytest.raises(ValueError):
-            geometric_prefix(1.2, 5)
+            rownorm_closed([0.5], [1.2], 5)
 
 
 class TestGsumOracles:
-    """Closed-form coefficient sums vs the high-precision reference."""
+    """Row norms of one and two poles vs the high-precision residue form."""
 
     def test_gsum1_plain_and_series(self):
-        mpmath.mp.dps = 60
         for theta, n in [
             (0.5, 64),
             (0.99, 1000),
@@ -100,55 +159,55 @@ class TestGsumOracles:
             (1.0 - 1e-8, 10**4),
             (1.0 - 2.0e-7, 10**6),
         ]:
-            got = _gsum1(theta, n)
-            want = float(mp_gsum1(theta, n))
-            np.testing.assert_allclose(got, want, rtol=1e-10)
+            for w in (0.5, -(1.0 - theta) / 2, -1.0):
+                got = rownorm_closed([w], [theta], n)
+                np.testing.assert_allclose(got, mp_rownorm([w], [theta], n, dps=60), rtol=1e-10)
 
     def test_gsum1_theta_one(self):
-        # sum_{k<n} k = n(n-1)/2
-        assert _gsum1(1.0, 5) == 10.0
+        # b_i = 1 + i: sum_{i<5} (1 + i)^2 = 55
+        assert rownorm_closed([1.0], [1.0], 5) == math.sqrt(55)
 
     def test_gsum2_all_branches(self):
-        mpmath.mp.dps = 80
         cases = [
-            (0.5, 0.5, 3),                       # both plain: hand value 3.25
+            (0.5, 0.5, 3),                       # both plain
             (0.3, 0.9, 4096),                    # both plain
-            (1.0 - 1e-12, 1.0 - 2e-12, 10**6),   # both in series zone
-            (1.0 - 1e-10, 0.5, 10**6),           # mixed: one series, one plain
+            (1.0 - 1e-12, 1.0 - 2e-12, 10**6),   # both next to 1
+            (1.0 - 1e-10, 0.5, 10**6),           # mixed: one next to 1, one plain
             (0.5, 1.0 - 1e-10, 10**6),           # mixed, swapped order
-            (1.0 - 4.0e-7, 0.999999, 10**6),     # mixed near the zone boundary
+            (1.0 - 4.0e-7, 0.999999, 10**6),     # mixed near the old zone boundary
             (1.0, 0.5, 1000),                    # theta exactly one
-            (1.0, 1.0, 3),                       # both one: sum k^2 = 5
+            (1.0, 1.0, 3),                       # both one
         ]
         for t1, t2, n in cases:
-            got = _gsum2(t1, t2, n)
-            if t1 == 1.0 and t2 == 1.0:
-                want = sum(k * k for k in range(n))
-            elif t1 == 1.0:
-                want = float((mpmath.mpf(n) * (n - 1) / 2 - mp_gsum1(t2, n) * mpmath.mpf(t2) + 0) )
-                # gamma_k(1) gamma_k(t2) = k gamma_k(t2); just sum directly instead
-                want = float(mpmath.fsum(k * mp_gamma_n(t2, k) for k in range(n))) if n <= 2000 else None
-            else:
-                want = float(mp_gsum2(t1, t2, n))
-            if want is not None:
+            for w in ((0.3, -0.2), (-0.5, 0.25)):
+                got = rownorm_closed(list(w), [t1, t2], n)
+                want = mp_rownorm(w, [t1, t2], n, dps=80)
                 np.testing.assert_allclose(got, want, rtol=2e-9, err_msg=f"{t1}, {t2}, {n}")
 
     def test_gsum2_hand_value(self):
-        # gamma = [0, 1, 1.5]; sum of squares = 0 + 1 + 2.25
-        np.testing.assert_allclose(_gsum2(0.5, 0.5, 3), 3.25, rtol=1e-15)
+        # two poles at 1 with residues 1 and 2: b = [1, 4, 7], sum of squares 66
+        assert rownorm_closed([1.0, 2.0], [1.0, 1.0], 3) == math.sqrt(66)
 
     def test_gsum2_symmetry(self):
+        """The order of the poles does not change either norm."""
         rng = np.random.default_rng(2)
         for _ in range(20):
-            t1, t2 = rng.uniform(0.01, 1.0, 2)
+            fact = random_factorization(rng, 2, 64)
             n = int(rng.integers(2, 10**5))
-            np.testing.assert_allclose(_gsum2(t1, t2, n), _gsum2(t2, t1, n), rtol=1e-12)
+            w, t = fact.omega, fact.theta
+            np.testing.assert_allclose(
+                rownorm_closed(w, t, n), rownorm_closed(w[::-1], t[::-1], n), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                sensitivity_closed(w, t, n), sensitivity_closed(w[::-1], t[::-1], n), rtol=1e-12
+            )
 
 
 class TestSensitivityClosed:
     def test_hand_value(self):
+        # omega = theta = 1/2: r = 1/(1 - x/2), so 1/r = 1 - x/2
         got = sensitivity_closed([0.5], [0.5], 3)
-        np.testing.assert_allclose(got, math.sqrt(1.3125), rtol=1e-15)
+        np.testing.assert_allclose(got, math.sqrt(1.25), rtol=1e-15)
 
     def test_degree_zero(self):
         for n in (1, 10, 10**6):
@@ -159,7 +218,7 @@ class TestSensitivityClosed:
         for n in (16, 256, 4096):
             for _ in range(5):
                 fact = random_factorization(rng, 3, n)
-                got = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+                got = sensitivity_closed(fact.omega, fact.theta, n)
                 s = series_reciprocal(blt_coeffs(fact.rational(), n)).coeffs
                 np.testing.assert_allclose(got, math.sqrt(np.sum(s * s)), rtol=1e-10)
 
@@ -168,11 +227,29 @@ class TestSensitivityClosed:
 
         For exact arithmetic the radicand is a Gram form and stays >= 1, so
         the only way to reach the error path is float cancellation: two nearly
-        equal theta_hat with huge opposite residues amplify the rounding noise
-        of the three geometric sums by 1e300.
+        equal poles with huge opposite residues amplify the rounding noise of
+        the Stein sum past the 1 it is added to.
         """
-        with pytest.raises(ValueError):
-            sensitivity_closed([1e150, -1e150], [0.3, 0.3 + 3e-13], 100)
+        with pytest.raises(ValueError, match="negative or non-finite squared sensitivity"):
+            sensitivity_closed([1e6, -1e6], [0.3, 0.3 + 3e-13], 100)
+        with pytest.raises(ValueError, match="negative or non-finite squared row norm"):
+            rownorm_closed([1e9, -1e9], [0.3, 0.3 + 3e-13], 100)
+
+    def test_non_finite_radicand_rejected(self):
+        for norm in (sensitivity_closed, rownorm_closed):
+            with pytest.raises(ValueError, match="negative or non-finite"):
+                norm([1.0], [math.nan], 5)
+
+    def test_batch_matches_each_row(self):
+        rng = np.random.default_rng(79)
+        facts = [random_factorization(rng, 3, 100) for _ in range(4)]
+        omega = np.array([f.omega for f in facts])
+        theta = np.array([f.theta for f in facts])
+        for norm in (sensitivity_closed, rownorm_closed):
+            got = norm(omega, theta, 1000)
+            assert got.shape == (4,)
+            for i, f in enumerate(facts):
+                assert got[i] == norm(f.omega, f.theta, 1000)
 
 
 class TestSensitivityOf:
@@ -196,7 +273,8 @@ class TestSensitivityOf:
     def test_degree1_matches_closed(self):
         for n in (10**2, 10**4, 10**5):
             fact = degree1_closed_form(n)
-            want = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+            omega_hat = mp_residues(fact.theta_hat, fact.theta)
+            want = mp_sensitivity(omega_hat, fact.theta_hat, n)
             np.testing.assert_allclose(sensitivity_of(fact, n), want, rtol=1e-12)
 
     def test_random_factorizations_match_closed(self):
@@ -204,7 +282,8 @@ class TestSensitivityOf:
         for n in (1, 2, 3, 16, 255, 256, 4096, 10**5):
             for d in (1, 3, 5):
                 fact = random_factorization(rng, d, n)
-                want = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+                omega_hat = mp_residues(fact.theta_hat, fact.theta)
+                want = mp_sensitivity(omega_hat, fact.theta_hat, n)
                 np.testing.assert_allclose(sensitivity_of(fact, n), want, rtol=1e-12)
 
     def test_matches_pole_space_oracle(self):
@@ -227,6 +306,23 @@ class TestSensitivityOf:
                     sensitivity_of(fact, n)
 
 
+class TestFarHorizon:
+    """Both norms of the optimized d=5, n=10^5 factorization far past its n.
+
+    ``ra`` is left out: its row norm is ill-conditioned at r(1) = 0.
+    """
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 2**50])
+    def test_matches_mpmath(self, n):
+        fact = optimized_d5()
+        omega = mp_residues(fact.theta, fact.theta_hat)
+        omega_hat = mp_residues(fact.theta_hat, fact.theta)
+        want_sens = mp_sensitivity(omega_hat, fact.theta_hat, n)
+        want_row = mp_rownorm(omega, fact.theta, n)
+        np.testing.assert_allclose(sensitivity_of(fact, n), want_sens, rtol=1e-10)
+        np.testing.assert_allclose(rownorm_of(fact, n), want_row, rtol=1e-10)
+
+
 class TestRownormClosed:
     def test_hand_value(self):
         got = rownorm_closed([0.5], [0.5], 3)
@@ -246,7 +342,7 @@ class TestRownormClosed:
                 np.testing.assert_allclose(got, math.sqrt(np.sum(t * t)), rtol=1e-9)
 
     def test_pole_at_one(self):
-        """theta = 1 exactly is routed through the limit branch."""
+        """theta = 1 exactly is a pole like any other."""
         got = rownorm_closed([1.0], [1.0], 4)
         # r = [1,1,1,1], prefix sums t = [1,2,3,4]
         np.testing.assert_allclose(got, math.sqrt(1 + 4 + 9 + 16), rtol=1e-12)
@@ -261,7 +357,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(5)
         fact = random_factorization(rng, 3, 64)
         ns = [2, 4, 8, 64, 256, 1024, 4096]
-        sens = [sensitivity_closed(fact.omega_hat, fact.theta_hat, n) for n in ns]
+        sens = [sensitivity_closed(fact.omega, fact.theta, n) for n in ns]
         rown = [rownorm_closed(fact.omega, fact.theta, n) for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(sens, sens[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(rown, rown[1:]))

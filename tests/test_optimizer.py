@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bltnoise import optimizer
+from bltnoise import error_eval, optimizer
 from bltnoise.error_eval import matousek_lb, max_err, opt_lt_toe
 from bltnoise.optimizer import (
     OptConfig,
@@ -18,9 +18,9 @@ from bltnoise.optimizer import (
     optimize_blt,
 )
 from bltnoise.seq import ltt_dense, series_reciprocal
-from bltnoise.params import blt_coeffs
+from bltnoise.params import blt_coeffs, degree1_closed_form
 
-from helpers import random_factorization
+from helpers import optimized_d5, random_factorization
 
 W = 1e-7  # default barrier weight used by the optimizer
 
@@ -78,6 +78,21 @@ class TestGradient:
         fd = fd_gradient(theta, theta_hat, 1000, W, h=1e-11)
         np.testing.assert_allclose(g, fd, rtol=1e-3)
 
+    @pytest.mark.parametrize("degree", [1, 5])
+    def test_one_batched_call_per_norm(self, degree, monkeypatch):
+        calls = []
+        real = error_eval.geometric_prefix
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(error_eval, "geometric_prefix", counting)
+        theta, theta_hat = geometric_ladder(degree, 10**4)
+        gradient(theta, theta_hat, 10**4, W)
+        # one call per norm, each over all 2d imaginary steps at once
+        assert calls == [(2 * degree, degree + 1, degree + 1)] * 2
+
     def test_crossed_ladder_raises(self):
         # theta_hat below theta makes the C-side residue negative, which the
         # barrier maps to an infinite loss
@@ -106,6 +121,11 @@ class TestLoss:
         report = max_err(fact, 256)
         got = loss(fact.theta, fact.theta_hat, 256, 0.0)
         np.testing.assert_allclose(got, report.max_err, rtol=1e-12)
+
+    def test_scores_what_eval_reports(self):
+        """The optimizer minimizes exactly the MaxErr that `blt eval` prints."""
+        for fact in (optimized_d5(), degree1_closed_form(10**4)):
+            assert loss(fact.theta, fact.theta_hat, fact.n, 0.0) == max_err(fact, fact.n).max_err
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -215,9 +235,9 @@ class TestStopReason:
     @pytest.mark.parametrize(
         "degree, n, iterations, ratio",
         [
-            (3, 10**4, 43, 1.0088147136950119),
+            (3, 10**4, 40, 1.0088147136953318),
             (4, 10**4, 96, 1.0012772795252223),
-            (5, 10**5, 125, 1.001154018250501),
+            (5, 10**5, 117, 1.0011540182532237),
         ],
     )
     def test_stops_at_the_plateau(self, degree, n, iterations, ratio):

@@ -186,7 +186,7 @@ class TestDegree1ClosedForm:
             fact = degree1_closed_form(n)
             lam = fact.theta_hat[0]
             a2 = lam - fact.theta[0]
-            sens = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
+            sens = sensitivity_closed(fact.omega, fact.theta, n)
             assert sens**2 <= 1.0 + a2**2 / (1.0 - lam**2) + 1e-12
 
     def test_rejects_small_n(self):
