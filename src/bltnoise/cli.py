@@ -29,7 +29,7 @@ from .params import (
 )
 from .rational import ra_blt_build
 from .recursive import comb_dense, comc_dense, recursive_norms
-from .seq import ltt_apply_dense, ltt_dense, series_reciprocal
+from .seq import MATRIX_CAP, ltt_apply_dense, ltt_dense, series_reciprocal
 from .streaming import (
     PER_STEP,
     PREFIX,
@@ -42,7 +42,6 @@ from .streaming import (
 )
 
 _VERIFY_CAP = 1 << 14
-_RECURSIVE_DENSE_CAP = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,7 +251,7 @@ def _cmd_recursive(args) -> int:
     }
     code = 0
     # the stacked C factor has n_prime rows, which is what the dense cap binds
-    if max(n_total, n_prime) <= _RECURSIVE_DENSE_CAP:
+    if max(n_total, n_prime) <= MATRIX_CAP:
         r = blt_coeffs(fact.rational(), n1).coeffs
         B = B1 = ltt_dense(np.cumsum(r))
         C = C1 = ltt_dense(series_reciprocal(r))

@@ -36,6 +36,7 @@ from .seq import ltt_dense, series_reciprocal
 _CSTEP = 1e-20
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_COLLISION_EPS = 1e-9
 
 
 @dataclass
@@ -46,7 +47,6 @@ class OptConfig:
     grad_tol: float = 1e-9
     barrier_weight: float = 1e-7
     init: object = "geometric_ladder"
-    collision_eps: float = 1e-9
 
     def __post_init__(self):
         if self.degree < 1:
@@ -87,10 +87,7 @@ def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
 
     1-d parameters give one value, 2-d ones a value per row.
     """
-    if theta.ndim == 1:
-        omega, omega_hat = residues_from_roots(theta, theta_hat)
-    else:
-        omega, omega_hat = map(np.array, zip(*map(residues_from_roots, theta, theta_hat)))
+    omega, omega_hat = residues_from_roots(theta, theta_hat)
     value = sensitivity_closed(omega, theta, n) * rownorm_closed(omega, theta, n)
     if barrier_weight != 0.0:
         if np.any(np.real(omega_hat) <= 0.0):
@@ -198,7 +195,7 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
 
     def params_of(x):
         p = _sigmoid(x)
-        return _sanitize(p[:d], cfg.collision_eps), _sanitize(p[d:], cfg.collision_eps)
+        return _sanitize(p[:d], _COLLISION_EPS), _sanitize(p[d:], _COLLISION_EPS)
 
     def f_of(x):
         th, thh = params_of(x)

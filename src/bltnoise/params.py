@@ -125,21 +125,18 @@ def residues_from_roots(theta, theta_hat):
     vector are rejected (the denominator vanishes); a shared root *between*
     the vectors simply zeroes the corresponding residue.
 
-    Accepts complex inputs (used by step-differentiation); real inputs of
-    degree > 32 are evaluated in log-space so that individual factors cannot
-    overflow.
+    Accepts complex inputs (used by step-differentiation) and batches over
+    leading axes, one root set per row; real inputs of degree > 32 are
+    evaluated in log-space so that individual factors cannot overflow.
     """
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
-    if theta.shape != theta_hat.shape or theta.ndim != 1:
-        raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
-    d = theta.size
-    if d == 0:
-        return np.zeros(0), np.zeros(0)
+    if theta.shape != theta_hat.shape:
+        raise ValueError("theta and theta_hat must be arrays of equal shape")
     for name, arr in (("theta", theta), ("theta_hat", theta_hat)):
         if np.any(arr == 0):
             raise ValueError(f"{name} contains a zero root")
-        if np.unique(arr).size != d:
+        if np.any(np.diff(np.sort(arr, axis=-1), axis=-1) == 0):
             raise ValueError(f"{name} contains repeated roots")
     omega = _residues_one_side(theta, theta_hat)
     omega_hat = _residues_one_side(theta_hat, theta)
@@ -147,19 +144,19 @@ def residues_from_roots(theta, theta_hat):
 
 
 def _residues_one_side(poles, zeros):
-    d = poles.size
-    num = 1.0 - zeros[None, :] / poles[:, None]
-    den = 1.0 - poles[None, :] / poles[:, None]
-    np.fill_diagonal(den, 1.0)
+    d = poles.shape[-1]
+    num = 1.0 - zeros[..., None, :] / poles[..., :, None]
+    den = 1.0 - poles[..., None, :] / poles[..., :, None]
+    den[..., range(d), range(d)] = 1.0
     if d <= _LOGSPACE_DEGREE or np.iscomplexobj(poles) or np.iscomplexobj(zeros):
-        return poles * num.prod(axis=1) / den.prod(axis=1)
-    sign = np.prod(np.sign(num), axis=1) * np.prod(np.sign(den), axis=1)
-    zero_num = np.any(num == 0.0, axis=1)
+        return poles * num.prod(axis=-1) / den.prod(axis=-1)
+    sign = np.prod(np.sign(num), axis=-1) * np.prod(np.sign(den), axis=-1)
+    zero_num = np.any(num == 0.0, axis=-1)
     with np.errstate(divide="ignore"):
         log_mag = (
             np.log(np.abs(poles))
-            + np.log(np.abs(num)).sum(axis=1)
-            - np.log(np.abs(den)).sum(axis=1)
+            + np.log(np.abs(num)).sum(axis=-1)
+            - np.log(np.abs(den)).sum(axis=-1)
         )
     out = sign * np.exp(log_mag)
     out[zero_num] = 0.0

@@ -8,22 +8,22 @@ steps into a pair for n1*n2 steps:
 
 where S is the down-shift matrix.  Iterating with the same base gives
 horizon n1^l with squared column norms adding exactly (sensitivity grows as
-sqrt(l)) and row norms bounded the same way.  The streaming form works one
-base block of n1 rows at a time, with one n1 x n1 product per block plus a
-carry from each outer level; live state is (l - 1) n1 carry rows of width m
-and the n1 x n1 base.
+sqrt(l)) and row norms bounded the same way.  The streaming form is the
+recursion that comb defines: a base block draws its n1 noise rows at once and
+takes one n1 x n1 product; a level-l block runs n1 level-(l-1) blocks and
+draws one carry row after each, whose B1 output offsets the blocks after it.
+Live state is (l - 1) n1 carry rows of width m and the n1 x n1 base.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from .params import BltFactorization, blt_coeffs
-from .seq import ltt_dense
-
-_DENSE_ROW_CAP = 1 << 12
+from .seq import MATRIX_CAP, ltt_dense
 
 
 def comb_dense(B1, B2) -> np.ndarray:
@@ -32,8 +32,8 @@ def comb_dense(B1, B2) -> np.ndarray:
     B2 = np.atleast_2d(np.asarray(B2, dtype=np.float64))
     n1 = B1.shape[0]
     n2 = B2.shape[0]
-    if n1 * n2 > _DENSE_ROW_CAP:
-        raise ValueError(f"combined row count {n1 * n2} exceeds cap {_DENSE_ROW_CAP}")
+    if n1 * n2 > MATRIX_CAP:
+        raise ValueError(f"combined row count {n1 * n2} exceeds cap {MATRIX_CAP}")
     left = np.kron(np.eye(n1), B2)
     right = np.kron(np.eye(n1, k=-1) @ B1, np.ones((n2, 1)))  # S B1
     return np.hstack([left, right])
@@ -45,8 +45,8 @@ def comc_dense(C1, C2) -> np.ndarray:
     C2 = np.atleast_2d(np.asarray(C2, dtype=np.float64))
     n1 = C1.shape[1]
     rows = n1 * C2.shape[0] + C1.shape[0]
-    if rows > _DENSE_ROW_CAP:
-        raise ValueError(f"combined row count {rows} exceeds cap {_DENSE_ROW_CAP}")
+    if rows > MATRIX_CAP:
+        raise ValueError(f"combined row count {rows} exceeds cap {MATRIX_CAP}")
     top = np.kron(np.eye(n1), C2)
     bottom = np.kron(C1, np.ones((1, C2.shape[1])))
     return np.vstack([top, bottom])
@@ -61,27 +61,26 @@ def recursive_norms(base_sens: float, base_rownorm: float, levels: int):
     return root * base_sens, root * base_rownorm
 
 
-def _next_noise(noise_source, m: int) -> np.ndarray:
-    try:
-        row = next(noise_source)
-    except StopIteration:
-        raise RuntimeError("noise source exhausted") from None
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (m,):
+def _next_noise(noise_source, rows: int, m: int) -> np.ndarray:
+    """The next ``rows`` rows of ``noise_source`` as a rows x m array."""
+    drawn = [np.asarray(row, dtype=np.float64) for row in islice(noise_source, rows)]
+    if any(row.shape != (m,) for row in drawn):
         raise ValueError(f"noise rows must have shape ({m},)")
-    return row
+    if len(drawn) < rows:
+        raise RuntimeError("noise source exhausted")
+    return np.array(drawn)
 
 
 def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     """Iterate the n1^levels rows of B_levels @ Z, drawing Z on demand.
 
     ``base_factory(n1)`` returns the column ``b`` of the base factor B1, which
-    is n1 x n1 lower-triangular Toeplitz.  Each base block draws n1 rows and
-    yields ``B1 @ Z + zsum``; ``zsum`` adds every outer level's carry output
-    ``b[k::-1] @ hist[:k+1]`` over the k+1 carry rows its block has drawn.
-    Noise order is fixed: a block's inner recursion draws first, then the
-    outer level draws one carry row, also after its final block, whose output
-    the shift matrix drops.
+    is n1 x n1 lower-triangular Toeplitz.  The rows follow ``comb``: a level-1
+    block draws its n1 rows Z at once and yields ``B1 @ Z + offset``; a
+    level-l block runs n1 level-(l-1) blocks, draws one carry row after each,
+    and passes ``offset + b[k::-1] @ carries[:k+1]`` to the next.  The carry
+    row after a level's last block is drawn too; the shift matrix drops its
+    output.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -91,31 +90,25 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
         raise ValueError("m must be >= 1")
     noise_source = iter(noise_source)
 
-    def blocks():
+    def rows():
         b = np.asarray(base_factory(n1), dtype=np.float64)
         B1 = ltt_dense(b)
-        hist = np.zeros((levels - 1, n1, m))  # carry draws of levels 2..levels
-        carry, drawn = np.zeros((levels - 1, m)), [0] * (levels - 1)
-        zsum, z = np.zeros(m), np.empty((n1, m))
-        while True:
-            for i in range(n1):
-                z[i] = _next_noise(noise_source, m)
-            yield from B1 @ z + zsum
-            for lv in range(levels - 1):
-                k = drawn[lv]
-                hist[lv, k] = _next_noise(noise_source, m)
-                if k + 1 < n1:
-                    drawn[lv] = k + 1
-                    carry[lv] = b[k::-1] @ hist[lv, : k + 1]
-                    break
-                # the n1-th carry closes this level's block: the shift drops its output
-                drawn[lv] = 0
-                carry[lv] = 0.0
-            else:
-                return
-            zsum = carry.sum(axis=0)
 
-    return blocks()
+        def block(level, offset):
+            if level == 1:
+                yield B1 @ _next_noise(noise_source, n1, m) + offset
+                return
+            carries = np.empty((n1, m))
+            inner = offset
+            for k in range(n1):
+                yield from block(level - 1, inner)
+                carries[k] = _next_noise(noise_source, 1, m)
+                inner = offset + b[k::-1] @ carries[: k + 1]
+
+        for out in block(levels, np.zeros(m)):
+            yield from out
+
+    return rows()
 
 
 def blt_base_factory(fact: BltFactorization, m: int):

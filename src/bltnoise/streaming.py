@@ -22,8 +22,7 @@ the seed produces one uint64 per value in row-major order, mapped through the
 inverse normal CDF.  The GEMMs run on column tiles of fixed width, aligned to
 absolute column indices.  A column shard regenerates the full-width uniform
 draws, computes the tiles that cover its columns and slices them, so a
-sharded run is bitwise identical to slicing an unsharded run.  Chunk sizes
-only re-slice the computed rows, so they do not change the output either.
+sharded run is bitwise identical to slicing an unsharded run.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def lfilter(T, P, Q, decay, z, S):
 
 
 def _engine_rows(cfg: NoiseStreamConfig, columns):
-    """Yield the stream's rows in batches of ``_CHUNK_ROWS``, restricted to ``columns``."""
+    """Yield (start_row, rows) batches of ``_CHUNK_ROWS`` per-step rows of ``columns``."""
     r = cfg.factorization.rational()
     theta, v = r.theta, diagonal_power_form(r).v
     d = theta.size
@@ -195,31 +194,19 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
                 z = ndtri(u[:, c0:c1]) * sigma
                 y[:, at : at + c1 - c0] = lfilter(T, P, Q, decay, z, S)
                 at += c1 - c0
-        yield y if sel is None else y[:, sel]
+        yield start, (y if sel is None else y[:, sel])
 
 
-def _noise_chunks(cfg: NoiseStreamConfig, columns=None, chunk_rows: int = _CHUNK_ROWS):
-    """Yield successive (start_row, rows) blocks of the noise stream.
-
-    The block engine computes the rows 1024 at a time (see the module
-    docstring); ``chunk_rows`` only re-slices them, so it cannot change a
-    value.  Prefix noise adds the running sum of the per-step rows.
-    """
-    width = cfg.m if columns is None else len(columns)
-    prefix = np.zeros(width)
-    pending = np.empty((0, width))
-    done = 0
-    for y in _engine_rows(cfg, columns):
+def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
+    """Yield the stream as (start_row, rows) batches of the block engine's
+    ``_CHUNK_ROWS`` rows; prefix noise adds the running sum of the per-step rows."""
+    prefix = 0.0
+    for start, y in _engine_rows(cfg, columns):
         if cfg.output_kind == PREFIX:
             y[0] += prefix
             np.cumsum(y, axis=0, out=y)
             prefix = y[-1].copy()
-        pending = np.concatenate((pending, y)) if len(pending) else y
-        last = done + len(pending) == cfg.n
-        while len(pending) >= chunk_rows or (last and len(pending)):
-            block, pending = pending[:chunk_rows], pending[chunk_rows:]
-            yield done, block
-            done += len(block)
+        yield start, y
 
 
 def noise_stream(cfg: NoiseStreamConfig, columns=None):

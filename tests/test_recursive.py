@@ -134,7 +134,7 @@ class TestRecursiveStream:
         return np.vstack(list(islice(gen, n1**levels)))
 
     @pytest.mark.parametrize("n1", [2, 3, 4])
-    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 4])
     def test_matches_dense(self, n1, levels, m):
         rng = np.random.default_rng(100 * n1 + 10 * levels + m)

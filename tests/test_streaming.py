@@ -213,19 +213,6 @@ class TestNoiseStream:
         got = np.var(acc) / sigma2
         assert abs(got - target) / target < 0.08
 
-    def test_chunk_boundaries_invisible(self):
-        """Outputs agree across chunk sizes (the 1024-row internal chunking)."""
-        rng = np.random.default_rng(29)
-        fact = random_factorization(rng, 2, 64)
-        from bltnoise.streaming import _noise_chunks
-
-        cfg = NoiseStreamConfig(fact, 2500, 2, seed=31, zeta=1.0)
-        a = np.vstack([blk for _, blk in _noise_chunks(cfg)])
-        b = np.vstack([blk for _, blk in _noise_chunks(cfg, chunk_rows=7)])
-        starts = [s for s, _ in _noise_chunks(cfg, chunk_rows=7)]
-        assert starts == list(range(0, 2500, 7))
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
-
 
 class TestBlockEngine:
     """Contracts of the block-Toeplitz engine: 64-row blocks aligned to
@@ -242,14 +229,15 @@ class TestBlockEngine:
             assert np.array_equal(shard, full[:, cols]), cols
 
     @pytest.mark.parametrize("degree, zeta", [(0, 1.0), (2, 0.0)])
-    def test_chunk_rows_only_reslice(self, degree, zeta):
+    def test_prefix_crosses_the_batch_edge(self, degree, zeta):
         n = 1100  # 17 blocks of 64 and a tail of 12
         fact = random_factorization(np.random.default_rng(47), degree, 64)
         cfg = NoiseStreamConfig(fact, n, 3, seed=53, zeta=zeta, output_kind=PREFIX)
-        a = np.vstack([blk for _, blk in _noise_chunks(cfg)])
-        chunks = list(_noise_chunks(cfg, chunk_rows=7))
-        assert [s for s, _ in chunks] == list(range(0, n, 7))
-        assert np.array_equal(np.vstack([blk for _, blk in chunks]), a)
+        chunks = list(_noise_chunks(cfg))
+        assert [s for s, _ in chunks] == [0, 1024]
+        a = np.vstack([blk for _, blk in chunks])
+        per = np.vstack(list(noise_stream(dataclasses.replace(cfg, output_kind=PER_STEP))))
+        assert np.array_equal(a, np.cumsum(per, axis=0))
         if zeta == 0.0:
             assert not a.any()
 
