@@ -19,7 +19,8 @@ factorization.
 
 Noise values are reproducible by construction: a Philox counter RNG keyed by
 the seed produces one uint64 per value in row-major order, mapped through the
-inverse normal CDF.  The GEMMs run on column tiles of fixed width, aligned to
+inverse normal CDF ``ndtri`` (AS 241, in numpy, so the package needs no
+scipy).  The GEMMs run on column tiles of fixed width, aligned to
 absolute column indices.  A column shard regenerates the full-width uniform
 draws, computes the tiles that cover its columns and slices them, so a
 sharded run is bitwise identical to slicing an unsharded run.
@@ -38,7 +39,7 @@ from .error_eval import sensitivity_of
 from .params import BltFactorization, MatrixPowerForm, blt_coeffs, diagonal_power_form
 from .seq import ltt_dense
 
-RNG_NAME = "philox-u64-ndtri"
+RNG_NAME = "philox-u64-as241"
 
 _BLOCK = 64  # L, rows per Toeplitz block
 _TILE = 128  # W, columns per GEMM tile
@@ -115,20 +116,112 @@ class NoiseStreamConfig:
 
 
 def _uniform_chunk(bitgen, count: int) -> np.ndarray:
-    """Open-interval uniforms, one per raw uint64, as (x>>11 + 0.5) * 2^-53."""
+    """Uniforms (x>>11 + 0.5) * 2^-53, one per raw uint64, in (0, 1].
+
+    The top raw values round to exactly 1.0 (one draw in 2^53); ``ndtri``
+    maps that to a finite value.
+    """
     raw = bitgen.random_raw(count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+# AS 241 (Wichura 1988, "The percentage points of the normal distribution",
+# Appl. Stat. 37:477), PPND16: three rational minimax approximations R = P/Q,
+# good to about 1e-16 relative.  Each table is the numerator and the
+# denominator coefficients from the constant term up.
+_CENTRAL = (  # |u - 1/2| <= 0.425: (u - 1/2) * R(0.180625 - (u - 1/2)^2)
+    [3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3],
+    [1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3],
+)
+_INNER = (  # s = sqrt(-log(min(u, 1 - u))) <= 5: R(s - 1.6)
+    [1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4],
+    [1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9],
+)
+_OUTER = (  # s > 5: R(s - 5)
+    [6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7],
+    [1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15],
+)
+_NDTRI_CHUNK = 32768  # values per pass; the temporaries stay in a core's L2
+_P_MIN = 2.0**-54  # the smallest uniform, so u = 1 maps to -ndtri(2^-54)
+
+
+def _horner(coefs, t, out):
+    """Write the polynomial with ``coefs``, constant term first, at ``t`` to ``out``."""
+    np.multiply(t, coefs[-1], out=out)
+    out += coefs[-2]
+    for c in coefs[-3::-1]:
+        out *= t
+        out += c
+    return out
+
+
+def _ratio(table, t):
+    """P(t) / Q(t) of one table."""
+    num, den = (_horner(coefs, t, np.empty_like(t)) for coefs in table)
+    num /= den
+    return num
 
 
 def ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF of ``u``, elementwise.
+    """Inverse normal CDF of ``u`` in (0, 1], elementwise, by AS 241.
 
-    ``scipy.special`` is imported on the first call: only commands that draw
-    noise need it, and importing it costs about 0.3 s.
+    A tail probability min(u, 1 - u) below 2^-54 is read as 2^-54, so u = 1
+    gives +8.29, the mirror of the smallest uniform, not inf.
+    ``ndtri(1 - u) == -ndtri(u)`` wherever 1 - u is exact.
+
+    The central region runs in flat chunks of about ``_NDTRI_CHUNK`` values
+    through two reused buffers; the tails of all chunks, about 15% of the
+    values, then run as one batch.
     """
-    from scipy.special import ndtri as inverse_normal_cdf
-
-    return inverse_normal_cdf(u)
+    x = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
+    out = np.empty_like(x)
+    chunks = max(1, round(x.size / _NDTRI_CHUNK))
+    step = max(1, -(-x.size // chunks))
+    q_buf, r_buf = np.empty((2, min(step, x.size)))
+    tails = [np.empty(0, dtype=np.intp)]
+    for i in range(0, x.size, step):
+        o = out[i : i + step]
+        q = np.subtract(x[i : i + step], 0.5, out=q_buf[: o.size])
+        r = np.multiply(q, q, out=r_buf[: o.size])
+        np.subtract(0.180625, r, out=r)
+        tail = (r < 0.0).nonzero()[0]  # |q| > 0.425
+        tail += i
+        tails.append(tail)
+        _horner(_CENTRAL[0], r, o)
+        o *= q
+        o /= _horner(_CENTRAL[1], r, q)
+    tail = np.concatenate(tails)
+    if tail.size:
+        p = x.take(tail)
+        s = np.minimum(p, 1.0 - p)
+        np.maximum(s, _P_MIN, out=s)
+        np.log(s, out=s)
+        np.negative(s, out=s)
+        np.sqrt(s, out=s)
+        z = _ratio(_INNER, s - 1.6)
+        far = (s > 5.0).nonzero()[0]  # min(u, 1 - u) < e^-25
+        if far.size:
+            z[far] = _ratio(_OUTER, s[far] - 5.0)
+        p -= 0.5
+        np.copysign(z, p, out=z)
+        out.put(tail, z)
+    return out.reshape(np.shape(u))
 
 
 def lfilter(T, P, Q, decay, z, S):
@@ -191,7 +284,8 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
             u = _uniform_chunk(bitgen, rows * cfg.m).reshape(rows, cfg.m)
             at = 0
             for (c0, c1), S in zip(spans, states):
-                z = ndtri(u[:, c0:c1]) * sigma
+                z = ndtri(u[:, c0:c1])
+                z *= sigma
                 y[:, at : at + c1 - c0] = lfilter(T, P, Q, decay, z, S)
                 at += c1 - c0
         yield start, (y if sel is None else y[:, sel])
@@ -234,7 +328,7 @@ def write_noise_f64(cfg: NoiseStreamConfig, path, factorization_path: str = "") 
     """Write raw little-endian float64 rows plus a JSON sidecar; returns sidecar path."""
     with open(path, "wb") as fh:
         for _, block in _noise_chunks(cfg):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
     sidecar = str(path) + ".json"
     meta = {
         "n": cfg.n,

@@ -184,7 +184,8 @@ def bintree_dense(levels):
 
 
 def reference_normals(seed, n, m):
-    """Regenerate the stream's Gaussian draws from scratch (same construction)."""
+    """Regenerate the stream's Gaussian draws from the same uniforms through
+    ``scipy.special.ndtri``, an inverse CDF independent of the package's AS 241."""
     bitgen = np.random.Philox(key=seed)
     u = _uniform_chunk(bitgen, n * m)
     return ndtri(u).reshape(n, m)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from bltnoise.streaming import (
     RNG_NAME,
     NoiseStreamConfig,
     _noise_chunks,
+    _uniform_chunk,
+    ndtri,
     noise_stream,
     stream_init,
     stream_step,
@@ -212,6 +216,65 @@ class TestNoiseStream:
         sigma2 = sensitivity_of(fact, n) ** 2
         got = np.var(acc) / sigma2
         assert abs(got - target) / target < 0.08
+
+
+class _RawStub:
+    """Bit generator stub whose every raw draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random_raw(self, count):
+        return np.full(count, self.value, dtype=np.uint64)
+
+
+def _mp_ndtri(u):
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(float(u)) - 1))
+
+
+class TestNdtri:
+    """The in-tree AS 241 inverse normal CDF that maps uniforms to draws."""
+
+    def test_matches_mpmath(self):
+        edges = [0.075, 0.925, float(np.exp(-25))]
+        u = np.concatenate([
+            [np.nextafter(c, 0.0) for c in edges], edges, [np.nextafter(c, 1.0) for c in edges],
+            [2.0**-54, 1 - 2.0**-53],
+            _uniform_chunk(np.random.Philox(key=2024), 2000),
+        ])
+        want = np.array([_mp_ndtri(x) for x in u])
+        rel = np.abs(ndtri(u) - want) / np.abs(want)
+        assert rel.max() <= 2e-15
+        assert ndtri(np.array([0.5]))[0] == 0.0
+
+    def test_mirror_is_exact(self):
+        tails = np.array([1.0, 2.0**-53, 3 * 2.0**-53, 1000 * 2.0**-53, 2.0**-33, 2.0**-10, 0.0625])
+        u = np.concatenate([tails, _uniform_chunk(np.random.Philox(key=7), 20_000)])
+        exact = 1.0 - (1.0 - u) == u
+        assert exact[: tails.size].all() and exact.sum() > 9_000
+        np.testing.assert_array_equal(ndtri(1.0 - u[exact]), -ndtri(u[exact]))
+
+    def test_top_raw_draw_is_finite(self):
+        """(2^53 - 1/2) * 2^-53 rounds to u = 1; it maps to the mirror of the
+        smallest uniform 2^-54, and the raw value below it is unchanged."""
+        top = _uniform_chunk(_RawStub(2**64 - 1), 3)
+        below = _uniform_chunk(_RawStub(2**64 - 2**11 - 1), 1)
+        smallest = _uniform_chunk(_RawStub(0), 1)
+        assert np.all(top == 1.0) and below[0] == 1 - 2.0**-52 and smallest[0] == 2.0**-54
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = ndtri(top)
+        np.testing.assert_array_equal(z, -ndtri(smallest)[0])
+        assert 8.29 < z[0] < 8.30
+        assert ndtri(below)[0] == -ndtri(np.array([2.0**-52]))[0]
+
+    def test_shapes_and_strided_tiles(self):
+        u = _uniform_chunk(np.random.Philox(key=3), 300 * 70).reshape(300, 70)
+        flat = ndtri(u.ravel())
+        np.testing.assert_array_equal(ndtri(u[:, 10:50]), flat.reshape(300, 70)[:, 10:50])
+        assert ndtri(np.empty((0, 4))).shape == (0, 4)
+        assert ndtri(0.5) == 0.0
 
 
 class TestBlockEngine:
