@@ -11,8 +11,9 @@ same recurrence L rows at a time, as the chunked scan of Dao & Gu 2024
 
 where T is the L x L lower-triangular Toeplitz matrix of r, P[i,k] =
 theta_k^{i+1} and Q[k,j] = v_k theta_k^{L-1-j}.  Blocks are aligned to
-absolute row indices and batched 1024 rows at a time, so every row costs a
-few GEMM rows and the live state is still the d x m buffer.  Prefix-sum
+absolute row indices and batched about ``_TILE_VALUES`` values per column
+tile at a time (32768 rows at m = 1, 256 at m >= 128), so every row costs a
+few GEMM rows and the live state is the d x m buffer plus one batch.  Prefix-sum
 noise (B z, with b(x) = r(x)/(1-x)) is the running sum of the per-step rows,
 kept in one extra width-m buffer rather than folding a pole at 1 into the
 factorization.
@@ -43,7 +44,7 @@ RNG_NAME = "philox-u64-as241"
 
 _BLOCK = 64  # L, rows per Toeplitz block
 _TILE = 128  # W, columns per GEMM tile
-_CHUNK_ROWS = 1024  # rows per batch of blocks; a multiple of _BLOCK
+_TILE_VALUES = 32768  # values per column tile in one batch of blocks
 ENGINE = f"block-toeplitz-L{_BLOCK}-W{_TILE}"
 
 PER_STEP = "per_step_noise"
@@ -224,20 +225,22 @@ def ndtri(u: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(u))
 
 
-def lfilter(T, P, Q, decay, z, S):
+def lfilter(T, P, Q, decay, z, S, out=None):
     """Run the rows ``z`` of one column tile through the block recurrence.
 
     Block after block of L = ``T.shape[0]`` rows, Y = T Z + P S and then
     S <- decay * S + Q Z; the blocks are batched through one ``matmul`` per
     product.  ``S`` (d x width) is updated in place.  A trailing partial block
     uses ``T[:rem, :rem]`` and leaves ``S`` stale, so it must end the stream.
+    Y is written to ``out`` (any array of z's shape, such as a column slice
+    of a wider batch) when given, else to a new array; it is returned.
 
     The name is kept from the per-pole ``scipy.signal.lfilter`` pass this
     kernel replaced: ``perfbench/tracing.py`` times the filter stage under it.
     """
     L = T.shape[0]
     nb, rem = divmod(z.shape[0], L)
-    y = np.empty_like(z)
+    y = np.empty_like(z) if out is None else out
     if nb:
         zb = z[: nb * L].reshape(nb, L, -1)
         yb = y[: nb * L].reshape(nb, L, -1)
@@ -254,8 +257,21 @@ def lfilter(T, P, Q, decay, z, S):
     return y
 
 
+def _batch_rows(m: int) -> int:
+    """Rows per batch of an m-column stream: about ``_TILE_VALUES`` values per
+    column tile, in whole blocks.  Draws are full-row, so a shard sizes its
+    batches by the full width m too."""
+    return max(_BLOCK, _TILE_VALUES // min(m, _TILE) // _BLOCK * _BLOCK)
+
+
 def _engine_rows(cfg: NoiseStreamConfig, columns):
-    """Yield (start_row, rows) batches of ``_CHUNK_ROWS`` per-step rows of ``columns``."""
+    """Yield (start_row, rows) batches of ``_batch_rows(cfg.m)`` per-step rows
+    of ``columns``; the last batch may be shorter.
+
+    Each batch draws its full-width uniforms, maps the computed tiles' columns
+    through one ``ndtri`` call, and has the kernel write every tile into a new
+    batch array, which is yielded and never reused.
+    """
     r = cfg.factorization.rational()
     theta, v = r.theta, diagonal_power_form(r).v
     d = theta.size
@@ -264,36 +280,41 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
     P, decay = powers[1:], powers[_BLOCK]
     Q = (v * powers[_BLOCK - 1 :: -1]).T
     if columns is None:
-        tiles, sel = range(0, cfg.m, _TILE), None
+        tiles, keep, sel = range(0, cfg.m, _TILE), None, None
     else:
         cols = np.asarray(columns, dtype=np.intp)
         if cols.size and (cols.min() < 0 or cols.max() >= cfg.m):
             raise ValueError("column indices out of range")
         tiles = np.unique(cols // _TILE) * _TILE
-        # position of each requested column among the computed tiles' columns
-        sel = np.searchsorted(tiles, cols - cols % _TILE) * _TILE + cols % _TILE
-    spans = [(c0, min(c0 + _TILE, cfg.m)) for c0 in tiles]
-    width = sum(c1 - c0 for c0, c1 in spans)
-    states = [np.zeros((d, c1 - c0)) for c0, c1 in spans]
+        # the computed tiles' columns, and each requested column's place among them
+        keep = (tiles[:, None] + np.arange(_TILE)).ravel()
+        keep = keep[keep < cfg.m]
+        sel = np.searchsorted(keep, cols)
+    # tile i fills batch columns i*_TILE on; only the last tile can be narrower
+    parts = [slice(i * _TILE, (i + 1) * _TILE) for i in range(len(tiles))]
+    states = [np.zeros((d, min(_TILE, cfg.m - c0))) for c0 in tiles]
+    width = cfg.m if keep is None else keep.size
     sigma = cfg.sigma
+    batch = _batch_rows(cfg.m)
     bitgen = np.random.Philox(key=int(cfg.seed))
-    for start in range(0, cfg.n, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, cfg.n - start)
-        y = np.zeros((rows, width))
-        if sigma != 0.0:
+    for start in range(0, cfg.n, batch):
+        rows = min(batch, cfg.n - start)
+        if sigma == 0.0:
+            y = np.zeros((rows, width))
+        else:
             u = _uniform_chunk(bitgen, rows * cfg.m).reshape(rows, cfg.m)
-            at = 0
-            for (c0, c1), S in zip(spans, states):
-                z = ndtri(u[:, c0:c1])
-                z *= sigma
-                y[:, at : at + c1 - c0] = lfilter(T, P, Q, decay, z, S)
-                at += c1 - c0
+            z = ndtri(u if keep is None else u[:, keep])
+            z *= sigma
+            y = np.empty_like(z)
+            for part, S in zip(parts, states):
+                lfilter(T, P, Q, decay, z[:, part], S, out=y[:, part])
         yield start, (y if sel is None else y[:, sel])
 
 
 def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
-    """Yield the stream as (start_row, rows) batches of the block engine's
-    ``_CHUNK_ROWS`` rows; prefix noise adds the running sum of the per-step rows."""
+    """Yield the stream as the block engine's (start_row, rows) batches of
+    ``_batch_rows(cfg.m)`` rows; prefix noise adds the running sum of the
+    per-step rows."""
     prefix = 0.0
     for start, y in _engine_rows(cfg, columns):
         if cfg.output_kind == PREFIX:

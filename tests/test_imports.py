@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SCIPY = ("scipy.signal", "scipy.linalg", "scipy.special")
 
 PROBE = """
 import json, sys
@@ -33,7 +32,7 @@ def loaded(body, tmp_path):
 
 def test_imports_load_no_scipy(tmp_path):
     mods = loaded("import bltnoise.cli\nimport bltnoise", tmp_path)
-    assert mods.isdisjoint(SCIPY)
+    assert not any(m.startswith("scipy.") for m in mods)
     assert {"bltnoise.streaming", "bltnoise.rational", "bltnoise.recursive"} <= mods
 
 
@@ -42,7 +41,7 @@ def test_optimize_loads_no_scipy(tmp_path):
         "from bltnoise import cli\n"
         "assert cli.main(['optimize', '--degree', '2', '--steps', '100', '--out', 'o.json']) == 0"
     )
-    assert loaded(body, tmp_path).isdisjoint(SCIPY)
+    assert not any(m.startswith("scipy.") for m in loaded(body, tmp_path))
 
 
 def test_noisegen_and_verify_load_no_scipy(tmp_path):

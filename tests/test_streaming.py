@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bltnoise import streaming
 from bltnoise.params import (
     BltFactorization,
     MatrixPowerForm,
@@ -21,6 +22,7 @@ from bltnoise.streaming import (
     PREFIX,
     RNG_NAME,
     NoiseStreamConfig,
+    _batch_rows,
     _noise_chunks,
     _uniform_chunk,
     ndtri,
@@ -293,16 +295,41 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("degree, zeta", [(0, 1.0), (2, 0.0)])
     def test_prefix_crosses_the_batch_edge(self, degree, zeta):
-        n = 1100  # 17 blocks of 64 and a tail of 12
+        n, m = 332, 200  # 5 blocks of 64 and a tail of 12, in 256-row batches
         fact = random_factorization(np.random.default_rng(47), degree, 64)
-        cfg = NoiseStreamConfig(fact, n, 3, seed=53, zeta=zeta, output_kind=PREFIX)
+        cfg = NoiseStreamConfig(fact, n, m, seed=53, zeta=zeta, output_kind=PREFIX)
         chunks = list(_noise_chunks(cfg))
-        assert [s for s, _ in chunks] == [0, 1024]
+        starts = list(range(0, n, _batch_rows(m)))
+        assert len(starts) > 1 and [s for s, _ in chunks] == starts
         a = np.vstack([blk for _, blk in chunks])
         per = np.vstack(list(noise_stream(dataclasses.replace(cfg, output_kind=PER_STEP))))
         assert np.array_equal(a, np.cumsum(per, axis=0))
         if zeta == 0.0:
             assert not a.any()
+
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    @pytest.mark.parametrize("degree, zeta", [(3, 1.0), (0, 1.0), (2, 0.0)])
+    def test_batch_size_is_bitwise_invisible(self, monkeypatch, kind, degree, zeta):
+        fact = random_factorization(np.random.default_rng(83), degree, 64)
+        n, m = 300, 300
+        cfg = NoiseStreamConfig(fact, n, m, seed=89, zeta=zeta, output_kind=kind)
+        shards = (None, [127, 128], [270])
+
+        def run():
+            # every batch is collected before any is compared, so a batch
+            # buffer reused under the yielded rows would show
+            rows = [list(noise_stream(cfg, columns=cols)) for cols in shards]
+            return [np.vstack(r) for r in rows]
+
+        want = run()
+        # one block per batch; 192-row batches, the last one 108 rows with a
+        # partial block; a single batch
+        for tile_values, rows in ((1, 64), (192 * 128, 192), (10**9, n)):
+            monkeypatch.setattr(streaming, "_TILE_VALUES", tile_values)
+            assert min(_batch_rows(m), n) == rows
+            assert [s for s, _ in _noise_chunks(cfg)] == list(range(0, n, rows))
+            for cols, a, b in zip(shards, want, run()):
+                assert np.array_equal(a, b), (tile_values, cols)
 
     def test_prefix_is_the_exact_running_sum(self):
         fact = random_factorization(np.random.default_rng(73), 3, 64)
@@ -313,7 +340,8 @@ class TestBlockEngine:
 
     def test_matches_stream_step_loop(self):
         rng = np.random.default_rng(59)
-        n, m = 2100, 3  # two full 1024-row batches and a tail
+        n, m = 600, 200  # two full batches and a tail
+        assert 2 * _batch_rows(m) < n < 3 * _batch_rows(m)
         fact = random_factorization(rng, 4, n)
         cfg = NoiseStreamConfig(fact, n, m, seed=61, zeta=1.0)
         got = np.vstack(list(noise_stream(cfg)))
