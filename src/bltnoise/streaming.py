@@ -225,25 +225,24 @@ def ndtri(u: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(u))
 
 
-def lfilter(T, P, Q, decay, z, S, out=None):
+def lfilter(T, P, Q, decay, z, S, out):
     """Run the rows ``z`` of one column tile through the block recurrence.
 
     Block after block of L = ``T.shape[0]`` rows, Y = T Z + P S and then
     S <- decay * S + Q Z; the blocks are batched through one ``matmul`` per
     product.  ``S`` (d x width) is updated in place.  A trailing partial block
     uses ``T[:rem, :rem]`` and leaves ``S`` stale, so it must end the stream.
-    Y is written to ``out`` (any array of z's shape, such as a column slice
-    of a wider batch) when given, else to a new array; it is returned.
+    Y is written to ``out``, any array of z's shape such as a column slice of
+    a wider batch.
 
     The name is kept from the per-pole ``scipy.signal.lfilter`` pass this
     kernel replaced: ``perfbench/tracing.py`` times the filter stage under it.
     """
     L = T.shape[0]
     nb, rem = divmod(z.shape[0], L)
-    y = np.empty_like(z) if out is None else out
     if nb:
         zb = z[: nb * L].reshape(nb, L, -1)
-        yb = y[: nb * L].reshape(nb, L, -1)
+        yb = out[: nb * L].reshape(nb, L, -1)
         np.matmul(T, zb, out=yb)
         qz = Q @ zb
         starts = np.empty_like(qz)
@@ -253,8 +252,7 @@ def lfilter(T, P, Q, decay, z, S, out=None):
             S += qz[b]
         yb += P @ starts
     if rem:
-        y[nb * L :] = T[:rem, :rem] @ z[nb * L :] + P[:rem] @ S
-    return y
+        out[nb * L :] = T[:rem, :rem] @ z[nb * L :] + P[:rem] @ S
 
 
 def _batch_rows(m: int) -> int:
@@ -307,7 +305,7 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
             z *= sigma
             y = np.empty_like(z)
             for part, S in zip(parts, states):
-                lfilter(T, P, Q, decay, z[:, part], S, out=y[:, part])
+                lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
         yield start, (y if sel is None else y[:, sel])
 
 
