@@ -9,10 +9,12 @@ steps into a pair for n1*n2 steps:
 where S is the down-shift matrix.  Iterating with the same base gives
 horizon n1^l with squared column norms adding exactly (sensitivity grows as
 sqrt(l)) and row norms bounded the same way.  The streaming form is the
-recursion that comb defines: a base block draws its n1 noise rows at once and
-takes one n1 x n1 product; a level-l block runs n1 level-(l-1) blocks and
+recursion that comb defines: a level-l block runs n1 level-(l-1) blocks and
 draws one carry row after each, whose B1 output offsets the blocks after it.
-Live state is (l - 1) n1 carry rows of width m and the n1 x n1 base.
+The bottom lb levels are one batched block, as many as fit the noise engine's
+``_TILE_VALUES`` budget of n1^lb x m values: it draws its noise in one call
+and computes its rows by reshapes and stacked n1 x n1 products.  Live state is
+the n1 x n1 base, (levels - lb) n1 carry rows of width m and one block.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .params import BltFactorization, blt_coeffs
 from .seq import MATRIX_CAP, ltt_dense
+from .streaming import _TILE_VALUES
 
 
 def comb_dense(B1, B2) -> np.ndarray:
@@ -61,26 +64,88 @@ def recursive_norms(base_sens: float, base_rownorm: float, levels: int):
     return root * base_sens, root * base_rownorm
 
 
+def _draws(n1: int, level: int) -> int:
+    """Noise rows a level block reads, its trailing carries included:
+    cnt(1) = n1 and cnt(l) = n1 * (cnt(l - 1) + 1)."""
+    count = n1
+    for _ in range(level - 1):
+        count = n1 * (count + 1)
+    return count
+
+
+def _block_level(n1: int, levels: int, m: int) -> int:
+    """The level computed as one batched block: the highest, up to ``levels``,
+    whose n1**level x m output holds at most ``_TILE_VALUES`` values, and at
+    least 1."""
+    level = 1
+    while level < levels and n1 ** (level + 1) * m <= _TILE_VALUES:
+        level += 1
+    return level
+
+
+def _block_apply(B1, z, level, out):
+    """Write B_level @ z into ``out`` (..., n1**level, m), for z (..., rows, m)
+    in draw order; leading axes are a batch of blocks.
+
+    A block's rows split into n1 groups of (inner block, carry row); group k
+    of the output is the inner result plus row k - 1 of B1 @ carries.  z holds
+    every row of each block, or all but the level - 1 trailing carries, which
+    no output row uses; then only the last group is short, and it recurses on
+    its own.
+    """
+    n1 = B1.shape[0]
+    if level == 1:
+        np.matmul(B1, z, out=out)
+        return
+    inner = _draws(n1, level - 1)
+    lead, m = z.shape[:-2], z.shape[-1]
+    full = z.shape[-2] // (inner + 1)  # n1, or n1 - 1 without the trailing carries
+    groups = z[..., : full * (inner + 1), :].reshape(*lead, full, inner + 1, m)
+    grouped = out.reshape(*lead, n1, -1, m)  # a view: only the row axis splits
+    _block_apply(B1, groups[..., :inner, :], level - 1, grouped[..., :full, :, :])
+    if full < n1:
+        _block_apply(B1, z[..., full * (inner + 1) :, :], level - 1, grouped[..., full, :, :])
+    grouped[..., 1:, :, :] += (B1[:-1, :-1] @ groups[..., : n1 - 1, inner, :])[..., None, :]
+
+
+class _ArraySource:
+    """A 2-D noise array read as consecutive row slices."""
+
+    def __init__(self, z):
+        self.z, self.pos = z, 0
+
+
 def _next_noise(noise_source, rows: int, m: int) -> np.ndarray:
-    """The next ``rows`` rows of ``noise_source`` as a rows x m array."""
-    drawn = [np.asarray(row, dtype=np.float64) for row in islice(noise_source, rows)]
-    if any(row.shape != (m,) for row in drawn):
-        raise ValueError(f"noise rows must have shape ({m},)")
+    """The next ``rows`` rows of ``noise_source`` as a rows x m array: a view
+    of an array source, or the rows of an iterator, each checked for shape."""
+    if isinstance(noise_source, _ArraySource):
+        start = noise_source.pos
+        drawn = noise_source.z[start : start + rows]
+        noise_source.pos = start + len(drawn)
+    else:
+        drawn = [np.asarray(row, dtype=np.float64) for row in islice(noise_source, rows)]
+        if any(row.shape != (m,) for row in drawn):
+            raise ValueError(f"noise rows must have shape ({m},)")
     if len(drawn) < rows:
         raise RuntimeError("noise source exhausted")
-    return np.array(drawn)
+    return np.asarray(drawn)
 
 
 def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     """Iterate the n1^levels rows of B_levels @ Z, drawing Z on demand.
 
     ``base_factory(n1)`` returns the column ``b`` of the base factor B1, which
-    is n1 x n1 lower-triangular Toeplitz.  The rows follow ``comb``: a level-1
-    block draws its n1 rows Z at once and yields ``B1 @ Z + offset``; a
-    level-l block runs n1 level-(l-1) blocks, draws one carry row after each,
-    and passes ``offset + b[k::-1] @ carries[:k+1]`` to the next.  The carry
-    row after a level's last block is drawn too; the shift matrix drops its
-    output.
+    is n1 x n1 lower-triangular Toeplitz.  ``noise_source`` is a 2-D array of
+    m columns, read by slices, or any iterable of (m,) rows.  The rows follow
+    ``comb``.  The bottom ``lb`` levels form one block, the largest whose
+    n1^lb x m output holds at most ``_TILE_VALUES`` values (at least one
+    level): it draws its rows but the lb - 1 trailing carries in one call,
+    computes them by batched products and yields them, and only then draws
+    those carries, whose outputs the shift matrix drops.  A level-l block
+    above it runs n1 level-(l-1) blocks, draws one carry row after each, and
+    passes ``offset + b[k::-1] @ carries[:k+1]`` to the next.  Live state is
+    the base, (levels - lb) n1 carry rows and one block; each block is a fresh
+    array, since the rows yielded are views into it.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -88,15 +153,27 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
         raise ValueError("n1 must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    noise_source = iter(noise_source)
+    if isinstance(noise_source, np.ndarray):
+        if noise_source.ndim != 2 or noise_source.shape[1] != m:
+            raise ValueError(f"noise array must have shape (rows, {m}), got {noise_source.shape}")
+        noise_source = _ArraySource(np.asarray(noise_source, dtype=np.float64))
+    else:
+        noise_source = iter(noise_source)
+    lb = _block_level(n1, levels, m)
+    head = _draws(n1, lb) - (lb - 1)
 
     def rows():
         b = np.asarray(base_factory(n1), dtype=np.float64)
         B1 = ltt_dense(b)
 
         def block(level, offset):
-            if level == 1:
-                yield B1 @ _next_noise(noise_source, n1, m) + offset
+            if level == lb:
+                out = np.empty((n1**lb, m))
+                _block_apply(B1, _next_noise(noise_source, head, m), lb, out)
+                out += offset
+                yield out
+                if lb > 1:  # the trailing carries, drawn once the rows are out
+                    _next_noise(noise_source, lb - 1, m)
                 return
             carries = np.empty((n1, m))
             inner = offset

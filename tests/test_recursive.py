@@ -13,7 +13,9 @@ from bltnoise.error_eval import (
 )
 from bltnoise.params import blt_coeffs
 from bltnoise.rational import ra_blt_build
+from bltnoise import recursive
 from bltnoise.recursive import (
+    _block_level,
     blt_base_factory,
     comb_dense,
     comc_dense,
@@ -207,7 +209,7 @@ class TestRecursiveStream:
 
 
 class TestBlockStream:
-    """The streamer works one base block of n1 rows at a time."""
+    """The streamer computes its bottom levels one batched block at a time."""
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_theorem2_base_matches_dense(self, levels):
@@ -225,8 +227,8 @@ class TestBlockStream:
         got = np.vstack(list(islice(gen, n1**levels)))
         np.testing.assert_allclose(got, B @ Z, rtol=0, atol=1e-12)
 
-    def test_first_row_draws_one_base_block(self):
-        n1, levels, m = 4, 3, 2
+    @staticmethod
+    def first_row_draws(n1, levels, m):
         fact = random_factorization(np.random.default_rng(14), 2, n=n1)
         count = 0
 
@@ -238,12 +240,100 @@ class TestBlockStream:
 
         gen = recursive_stream(blt_base_factory(fact, m), n1, levels, m, counted())
         next(gen)
-        assert count == n1
+        return count
+
+    def test_first_row_draws_one_base_block(self):
+        # 16 * 2049 values exceed the block budget, so the block is one level
+        n1, levels, m = 4, 3, 2049
+        assert _block_level(n1, levels, m) == 1
+        assert self.first_row_draws(n1, levels, m) == n1
+
+    def test_first_row_draws_one_level_block(self):
+        # the first row draws one level block but its trailing carries
+        n1, levels, m = 4, 3, 2
+        lb = _block_level(n1, levels, m)
+        assert lb > 1
+        want = len(consumption_perm(n1, lb)) - (lb - 1)
+        assert self.first_row_draws(n1, levels, m) == want
 
     def test_width_validated_at_call(self):
         fact = random_factorization(np.random.default_rng(15), 1, n=2)
         with pytest.raises(ValueError, match="m must be >= 1"):
             recursive_stream(blt_base_factory(fact, 0), 2, 2, 0, iter([]))
+
+
+def comb_apply(B1, B_inner, zd):
+    """comb(B1, B_inner) @ zd without forming the combined matrix: zd's inner
+    columns run through n1 copies of B_inner, its n1 carry columns through
+    S B1, whose rows repeat over each inner block."""
+    n1, (rows, cols) = B1.shape[0], B_inner.shape
+    inner = (B_inner @ zd[: n1 * cols].reshape(n1, cols, -1)).reshape(n1 * rows, -1)
+    return inner + np.repeat(np.eye(n1, k=-1) @ B1 @ zd[n1 * cols :], rows, axis=0)
+
+
+class TestBatchedBlocks:
+    """Level blocks sized by the shared value budget, from array or iterator sources."""
+
+    @staticmethod
+    def setup(n1, levels, m, seed):
+        rng = np.random.default_rng(seed)
+        fact = random_factorization(rng, 2, n=n1)
+        n_prime = len(consumption_perm(n1, levels))
+        return fact, rng.normal(size=(n_prime, m))
+
+    @staticmethod
+    def stream(fact, n1, levels, m, source):
+        gen = recursive_stream(blt_base_factory(fact, m), n1, levels, m, source)
+        return np.vstack(list(islice(gen, n1**levels)))
+
+    @pytest.mark.parametrize("budget", [1, recursive._TILE_VALUES, 10**9])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n1", [2, 3, 12])
+    def test_matches_dense_at_any_budget(self, monkeypatch, n1, levels, budget):
+        monkeypatch.setattr(recursive, "_TILE_VALUES", budget)
+        m = 3
+        fact, z = self.setup(n1, levels, m, 1000 * n1 + levels)
+        B1, _ = blt_dense_pair(fact, n1)
+        # z is in draw order; the dense product takes it in column order
+        zd = np.empty_like(z)
+        zd[consumption_perm(n1, levels)] = z
+        if levels == 1:
+            want = B1 @ zd
+        else:
+            # comb_dense up to levels - 1; the top step would pass its row cap at n1 = 12
+            B = B1
+            for _ in range(levels - 2):
+                B = comb_dense(B1, B)
+            want = comb_apply(B1, B, zd)
+        got = self.stream(fact, n1, levels, m, z)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, recursive._TILE_VALUES, 10**9])
+    def test_array_and_iterator_sources_agree_bitwise(self, monkeypatch, budget):
+        monkeypatch.setattr(recursive, "_TILE_VALUES", budget)
+        n1, levels, m = 3, 4, 5
+        fact, z = self.setup(n1, levels, m, 20)
+        from_array = self.stream(fact, n1, levels, m, z)
+        from_iter = self.stream(fact, n1, levels, m, iter(list(z)))
+        assert np.array_equal(from_array, from_iter)
+
+    def test_array_without_trailing_carries_streams_every_row(self):
+        n1, levels, m = 12, 3, 4
+        fact, z = self.setup(n1, levels, m, 21)
+        short = z[: len(z) - (levels - 1)]
+        assert len(self.stream(fact, n1, levels, m, short)) == n1**levels
+
+    def test_short_array_raises(self):
+        n1, levels, m = 3, 3, 2
+        fact, z = self.setup(n1, levels, m, 22)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            self.stream(fact, n1, levels, m, z[: len(z) - levels])
+
+    @pytest.mark.parametrize("shape", [(39,), (39, 3), (39, 2, 1)])
+    def test_bad_array_shape_rejected(self, shape):
+        fact = random_factorization(np.random.default_rng(23), 1, n=3)
+        with pytest.raises(ValueError, match="shape"):
+            next(recursive_stream(blt_base_factory(fact, 2), 3, 3, 2, np.zeros(shape)))
 
 
 class TestRecursiveFactorization:
