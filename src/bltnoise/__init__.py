@@ -7,10 +7,9 @@ differentially private prefix sums can be produced in O(d m) space per step,
 and the max-error objective ||B||_{2->inf} * ||C||_{1->2} has a closed form.
 """
 
-from .seq import ToeplitzSeq, optimal_coeffs, cauchy_product, series_reciprocal, ltt_apply_dense
+from .seq import ToeplitzSeq, optimal_coeffs, series_reciprocal, ltt_apply_dense
 from .params import (
     RationalBlt,
-    MatrixPowerForm,
     BltFactorization,
     residues_from_roots,
     blt_coeffs,
@@ -26,8 +25,8 @@ from .error_eval import (
     max_err,
     bounds_table,
 )
-from .streaming import StreamState, NoiseStreamConfig, stream_init, stream_step, noise_stream
-from .rational import SqrtApproxTerms, newman_sqrt, degree_for_error, ra_blt_build, weighted_parseval_check
+from .streaming import NoiseStreamConfig, noise_stream
+from .rational import SqrtApproxTerms, newman_sqrt, degree_for_error, ra_blt_build
 from .optimizer import OptConfig, OptResult, loss, gradient, optimize_blt
 from .recursive import (
     comb_dense,
@@ -41,11 +40,9 @@ from .recursive import (
 __all__ = [
     "ToeplitzSeq",
     "optimal_coeffs",
-    "cauchy_product",
     "series_reciprocal",
     "ltt_apply_dense",
     "RationalBlt",
-    "MatrixPowerForm",
     "BltFactorization",
     "residues_from_roots",
     "blt_coeffs",
@@ -58,16 +55,12 @@ __all__ = [
     "rownorm_closed",
     "max_err",
     "bounds_table",
-    "StreamState",
     "NoiseStreamConfig",
-    "stream_init",
-    "stream_step",
     "noise_stream",
     "SqrtApproxTerms",
     "newman_sqrt",
     "degree_for_error",
     "ra_blt_build",
-    "weighted_parseval_check",
     "OptConfig",
     "OptResult",
     "loss",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import BltFactorization
+from .seq import optimal_coeffs
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -169,9 +170,7 @@ def opt_lt_toe(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _f2_cumsum.size:
-        size = max(n, 2 * _f2_cumsum.size)
-        f = np.ones(size)
-        f[1:] = np.cumprod(1.0 - 0.5 / np.arange(1, size))
+        f = optimal_coeffs(max(n, 2 * _f2_cumsum.size)).coeffs
         _f2_cumsum = np.cumsum(f * f)
     return float(_f2_cumsum[n - 1])
 

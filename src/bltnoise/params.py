@@ -8,7 +8,8 @@ the 2d real parameters (theta, theta_hat): the inverse-C generator is
 
 with residues omega derived in closed form.  C's own generator is 1/r and B's
 is r(x)/(1 - x), so B-side coefficients are prefix sums of r's.  This module
-converts between the root, pole/residue and diagonal matrix-power forms.
+converts the root form to the pole/residue form, the one form the streaming
+engine and the evaluators read.
 """
 
 from __future__ import annotations
@@ -62,37 +63,6 @@ class RationalBlt:
         return self.theta.size
 
 
-@dataclass(frozen=True)
-class MatrixPowerForm:
-    """Constant-recurrent representation ``r_k = u^T W^k v + t * [k == 0]``."""
-
-    u: np.ndarray
-    W: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=np.float64))
-        v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
-        W = np.asarray(self.W, dtype=np.float64)
-        if W.size == 0:
-            W = W.reshape(0, 0)
-        if u.size == 0:
-            u = u.reshape(0)
-        if v.size == 0:
-            v = v.reshape(0)
-        d = u.size
-        if v.size != d or W.shape != (d, d):
-            raise ValueError("u, v must be d-vectors and W a d x d matrix")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "W", W)
-
-    @property
-    def dim(self) -> int:
-        return self.u.size
-
-
 def blt_coeffs(b: RationalBlt, n: int) -> ToeplitzSeq:
     """First ``n`` coefficients of ``b`` from the pole/residue closed form, O(n d)."""
     if n < 1:
@@ -107,13 +77,6 @@ def blt_coeffs(b: RationalBlt, n: int) -> ToeplitzSeq:
         powers = b.theta[None, :] ** np.arange(k0 - 1, k1 - 1)[:, None]
         out[k0:k1] = powers @ b.omega
     return ToeplitzSeq(out)
-
-
-def diagonal_power_form(b: RationalBlt) -> MatrixPowerForm:
-    """Diagonal matrix-power form: ``u = 1``, ``W = diag(theta)``, ``v = omega/theta``."""
-    v = b.omega / b.theta if b.degree else np.zeros(0)
-    t = b.t - v.sum()
-    return MatrixPowerForm(np.ones(b.degree), np.diag(b.theta), v, t)
 
 
 def residues_from_roots(theta, theta_hat):

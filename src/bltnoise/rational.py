@@ -53,8 +53,7 @@ class SqrtApproxTerms:
 
     @property
     def constant(self) -> float:
-        k = np.arange(-self.d_minus, self.d_plus + 1)
-        return float(2.0 * self.h * math.sqrt(2.0) / math.pi * np.exp(self.h * k).sum())
+        return _ladder(self.d_plus, self.d_minus, self.h)[2]
 
     def evaluate(self, x):
         """Evaluate the approximant at (arrays of) complex or real ``x``."""
@@ -65,6 +64,18 @@ class SqrtApproxTerms:
             weights / (centers - x[..., None]), axis=-1
         )
         return vals if vals.shape else vals[()]
+
+
+def _ladder(d_plus: int, d_minus: int, h: float):
+    """(offsets, weights, constant) of the ladder k = -d_minus..d_plus at step
+    h: the ascending pole offsets 2 e^{2hk}, the weights (4h sqrt(2)/pi) e^{3hk}
+    and the constant (2h sqrt(2)/pi) sum_k e^{hk}, so that
+    rt(1 + y) = constant - sum_k weight_k / (offset_k - y)."""
+    scale = 2.0 * h * math.sqrt(2.0) / math.pi
+    k = np.arange(-d_minus, d_plus + 1)
+    offsets = 2.0 * np.exp(2.0 * h * k)
+    weights = scale * 2.0 * np.exp(3.0 * h * k)
+    return offsets, weights, float(scale * np.exp(h * k).sum())
 
 
 def newman_error_bound(d: int) -> float:
@@ -81,15 +92,12 @@ def newman_sqrt(d: int) -> SqrtApproxTerms:
     d_plus = (d - 1) // 2
     d_minus = d - 1 - d_plus
     h = math.pi / math.sqrt(2.0 * d_plus)
-    scale = 2.0 * h * math.sqrt(2.0) / math.pi
-    k = np.arange(-d_minus, d_plus + 1)
-    centers = 1.0 + 2.0 * np.exp(2.0 * h * k)
-    weights = scale * 2.0 * np.exp(3.0 * h * k)
+    offsets, weights, _ = _ladder(d_plus, d_minus, h)
     return SqrtApproxTerms(
         d_plus=d_plus,
         d_minus=d_minus,
         h=h,
-        terms=tuple(zip(centers.tolist(), weights.tolist())),
+        terms=tuple(zip((1.0 + offsets).tolist(), weights.tolist())),
     )
 
 
@@ -120,18 +128,14 @@ def _nudge_descending(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interlaced_zeros(h: float, d_plus: int, d_minus: int) -> np.ndarray:
+def _interlaced_zeros(offs: np.ndarray, weights: np.ndarray, A: float) -> np.ndarray:
     """Zeros of the approximant other than x = 1, as offsets y = x - 1.
 
-    In the y coordinate the approximant is A - sum_k w_k/(2 e^{2hk} - y) with
-    all w_k > 0, hence strictly decreasing between consecutive pole offsets
-    2 e^{2hk}; bisection in log y resolves each bracket.
+    In the y coordinate the approximant is A - sum_k w_k/(offs_k - y), the
+    ``_ladder`` form, with all w_k > 0, hence strictly decreasing between
+    consecutive ascending pole offsets; bisection in log y resolves each
+    bracket.
     """
-    scale = 2.0 * h * math.sqrt(2.0) / math.pi
-    k = np.arange(-d_minus, d_plus + 1)
-    offs = 2.0 * np.exp(2.0 * h * k)  # ascending pole offsets
-    weights = scale * 2.0 * np.exp(3.0 * h * k)
-    A = scale * np.exp(h * k).sum()
 
     def g(y: float) -> float:
         return A - float(np.sum(weights / (offs - y)))
@@ -164,11 +168,11 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
     if n < 1:
         raise ValueError("n must be >= 1")
     terms = newman_sqrt(d)
-    centers, weights = np.array(terms.terms).T
-    theta = 1.0 / centers  # centers ascend, so theta is descending
-    t_raw = terms.constant - float(np.sum(weights * theta))
+    offsets, weights, constant = _ladder(terms.d_plus, terms.d_minus, terms.h)
+    theta = 1.0 / (1.0 + offsets)  # the offsets ascend, so theta is descending
+    t_raw = constant - float(np.sum(weights * theta))
     omega = -(weights * theta * theta) / t_raw
-    ys = _interlaced_zeros(terms.h, terms.d_plus, terms.d_minus)
+    ys = _interlaced_zeros(offsets, weights, constant)
     theta_hat = np.concatenate(([1.0], 1.0 / (1.0 + ys)))
     theta_stored = _nudge_descending(theta)
     theta_hat_stored = _nudge_descending(theta_hat)
@@ -215,28 +219,3 @@ def rational_sqrt_free_bound(x, d_plus: int, d_minus: int, h: float):
     )
     vals = 2.0 * np.sqrt(np.abs(x)) * disc + trunc
     return vals if vals.shape else vals[()]
-
-
-def weighted_parseval_check(f_eval, g_eval, f_coeffs, g_coeffs, tau: float, M: int):
-    """Compare (1/2pi) int |f-g|^2 on the circle of radius e^{-tau} against
-    the damped coefficient sum sum_k |f_k - g_k|^2 e^{-2 tau k}.
-
-    Returns (quadrature_value, coefficient_sum); for analytic f, g and
-    coefficient sequences long enough, the two agree.
-    """
-    if M < 16:
-        raise ValueError("M must be >= 16")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    phi = 2.0 * np.pi * np.arange(M) / M
-    x = np.exp(1j * phi - tau)
-    diff = np.asarray(f_eval(x)) - np.asarray(g_eval(x))
-    quad = float(np.mean(np.abs(diff) ** 2))
-    fc = np.atleast_1d(np.asarray(f_coeffs, dtype=np.complex128))
-    gc = np.atleast_1d(np.asarray(g_coeffs, dtype=np.complex128))
-    size = max(fc.size, gc.size)
-    fc = np.pad(fc, (0, size - fc.size))
-    gc = np.pad(gc, (0, size - gc.size))
-    damp = np.exp(-2.0 * tau * np.arange(size))
-    csum = float(np.sum(np.abs(fc - gc) ** 2 * damp))
-    return quad, csum

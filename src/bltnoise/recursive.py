@@ -101,7 +101,7 @@ def _block_apply(B1, z, level, out):
     lead, m = z.shape[:-2], z.shape[-1]
     full = z.shape[-2] // (inner + 1)  # n1, or n1 - 1 without the trailing carries
     groups = z[..., : full * (inner + 1), :].reshape(*lead, full, inner + 1, m)
-    grouped = out.reshape(*lead, n1, -1, m)  # a view: only the row axis splits
+    grouped = out.reshape(*lead, n1, n1 ** (level - 1), m)  # a view: only the row axis splits
     _block_apply(B1, groups[..., :inner, :], level - 1, grouped[..., :full, :, :])
     if full < n1:
         _block_apply(B1, z[..., full * (inner + 1) :, :], level - 1, grouped[..., full, :, :])

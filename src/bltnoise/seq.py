@@ -3,8 +3,8 @@
 A streaming linear operator is identified with the generating function
 ``f(x) = sum_k f_k x^k`` of its Toeplitz coefficients; multiplying generating
 functions multiplies the operators.  This module holds the coefficient
-container, the square-root generator coefficients, series multiplication /
-inversion, and the dense O(n^2 m) reference oracle used by tests.
+container, the square-root generator coefficients, series inversion, and the
+dense O(n^2 m) reference oracle used by tests.
 
 Everything here is float64; the closed-form evaluators elsewhere depend on
 that (single precision is not enough past n ~ 1e6).
@@ -66,17 +66,6 @@ def optimal_coeffs(n: int) -> ToeplitzSeq:
 
 def _as_seq(a) -> ToeplitzSeq:
     return a if isinstance(a, ToeplitzSeq) else ToeplitzSeq(a)
-
-
-def cauchy_product(a, b) -> ToeplitzSeq:
-    """Truncated product ``h_k = sum_{i<=k} a_i b_{k-i}`` of two coefficient sequences.
-
-    Equals the first column of ``LTT(a) @ LTT(b)``.
-    """
-    a, b = _as_seq(a), _as_seq(b)
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} != {b.n}")
-    return ToeplitzSeq(np.convolve(a.coeffs, b.coeffs)[: a.n])
 
 
 def series_reciprocal(a: ToeplitzSeq) -> ToeplitzSeq:

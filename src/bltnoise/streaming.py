@@ -1,11 +1,13 @@
 """Streaming multiplication by a BLT matrix and seeded DP noise generation.
 
 The per-step noise stream is C^{-1} z where C^{-1} is lower-triangular
-Toeplitz with generator r.  In one-row form each output row is t*z_k + u^T S
-with the d x m buffer updated as S <- diag(theta) S + v z_k;
-``stream_init``/``stream_step`` are that form.  The noise streams run the
-same recurrence L rows at a time, as the chunked scan of Dao & Gu 2024
-("Transformers are SSMs", arXiv 2405.21060).  For a block Z of L rows,
+Toeplitz with generator r = t + x * sum_k omega_k / (1 - theta_k x).  With
+v = omega/theta, row k is t*z_k + theta^T S before the d x m buffer steps as
+S <- diag(theta) S + v z_k.  ``stream_init``/``stream_step`` run that one-row
+form; they are the test oracle the block engine is checked against, and no
+stream uses them.  The noise streams run the same recurrence L rows at a
+time, as the chunked scan of Dao & Gu 2024 ("Transformers are SSMs", arXiv
+2405.21060).  For a block Z of L rows,
 
     Y = T Z + P S,    S <- diag(theta^L) S + Q Z,
 
@@ -37,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .error_eval import sensitivity_of
-from .params import BltFactorization, MatrixPowerForm, blt_coeffs, diagonal_power_form
+from .params import BltFactorization, RationalBlt, blt_coeffs
 from .seq import ltt_dense
 
 RNG_NAME = "philox-u64-as241"
@@ -53,38 +55,33 @@ PREFIX = "prefix_noise"
 
 @dataclass
 class StreamState:
-    """Mutable state of a running BLT multiplication (single-owner)."""
+    """Mutable state of the one-row form (single-owner): the d x m buffer,
+    the rows consumed and the generator."""
 
     S: np.ndarray
     k: int
-    form: MatrixPowerForm
-    m: int
-    diag: np.ndarray  # the diagonal of W
+    r: RationalBlt
 
 
-def stream_init(form: MatrixPowerForm, m: int) -> StreamState:
-    """Zero d x m buffers of the one-row form of the streaming multiplier.
-
-    ``form.W`` must be diagonal, as ``diagonal_power_form`` builds it.
-    """
+def stream_init(r: RationalBlt, m: int) -> StreamState:
+    """Zero d x m buffer of the one-row form of the streaming multiplier."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    diag = np.diagonal(form.W).copy()
-    if np.any(form.W - np.diag(diag)):
-        raise ValueError("W must be diagonal")
-    return StreamState(S=np.zeros((form.dim, m)), k=0, form=form, m=m, diag=diag)
+    return StreamState(S=np.zeros((r.degree, m)), k=0, r=r)
 
 
 def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
-    """One row of the streaming multiplier: S <- diag(W) S + v z, out t*z + u^T S."""
+    """One row of the streaming multiplier: out t*z + theta^T S, then
+    S <- diag(theta) S + (omega/theta) z."""
     z = np.asarray(z_row, dtype=np.float64)
-    if z.shape != (state.m,):
-        raise ValueError(f"z_row must have shape ({state.m},)")
-    f = state.form
-    state.S *= state.diag[:, None]
-    state.S += np.outer(f.v, z)
+    if z.shape != state.S.shape[1:]:
+        raise ValueError(f"z_row must have shape {state.S.shape[1:]}")
+    r = state.r
+    out = r.t * z + r.theta @ state.S
+    state.S *= r.theta[:, None]
+    state.S += np.outer(r.omega / r.theta, z)
     state.k += 1
-    return f.t * z + f.u @ state.S
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,11 +96,16 @@ class NoiseStreamConfig:
     output_kind: str = PER_STEP
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (math.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError(f"zeta must be a finite number >= 0, got {self.zeta!r}")
@@ -271,7 +273,7 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
     batch array, which is yielded and never reused.
     """
     r = cfg.factorization.rational()
-    theta, v = r.theta, diagonal_power_form(r).v
+    theta, v = r.theta, r.omega / r.theta
     d = theta.size
     T = ltt_dense(blt_coeffs(r, _BLOCK))
     powers = theta ** np.arange(_BLOCK + 1)[:, None]  # powers[i, k] = theta_k^i

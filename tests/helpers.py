@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from bltnoise.params import BltFactorization, RationalBlt
+from bltnoise.seq import ToeplitzSeq
 from bltnoise.streaming import _uniform_chunk
 
 
@@ -189,3 +190,37 @@ def reference_normals(seed, n, m):
     bitgen = np.random.Philox(key=seed)
     u = _uniform_chunk(bitgen, n * m)
     return ndtri(u).reshape(n, m)
+
+
+def cauchy_product(a, b) -> ToeplitzSeq:
+    """Oracle: truncated product ``h_k = sum_{i<=k} a_i b_{k-i}`` of two
+    equal-length coefficient sequences, the first column of ``LTT(a) @ LTT(b)``."""
+    a, b = (x if isinstance(x, ToeplitzSeq) else ToeplitzSeq(x) for x in (a, b))
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} != {b.n}")
+    return ToeplitzSeq(np.convolve(a.coeffs, b.coeffs)[: a.n])
+
+
+def weighted_parseval_check(f_eval, g_eval, f_coeffs, g_coeffs, tau: float, M: int):
+    """Oracle: compare (1/2pi) int |f-g|^2 on the circle of radius e^{-tau}
+    against the damped coefficient sum sum_k |f_k - g_k|^2 e^{-2 tau k}.
+
+    Returns (quadrature_value, coefficient_sum); for analytic f, g and
+    coefficient sequences long enough, the two agree.
+    """
+    if M < 16:
+        raise ValueError("M must be >= 16")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    phi = 2.0 * np.pi * np.arange(M) / M
+    x = np.exp(1j * phi - tau)
+    diff = np.asarray(f_eval(x)) - np.asarray(g_eval(x))
+    quad = float(np.mean(np.abs(diff) ** 2))
+    fc = np.atleast_1d(np.asarray(f_coeffs, dtype=np.complex128))
+    gc = np.atleast_1d(np.asarray(g_coeffs, dtype=np.complex128))
+    size = max(fc.size, gc.size)
+    fc = np.pad(fc, (0, size - fc.size))
+    gc = np.pad(gc, (0, size - gc.size))
+    damp = np.exp(-2.0 * tau * np.arange(size))
+    csum = float(np.sum(np.abs(fc - gc) ** 2 * damp))
+    return quad, csum

@@ -23,12 +23,11 @@ from bltnoise.error_eval import (
     sensitivity_of,
 )
 from bltnoise.optimizer import OptConfig, gradient, loss, optimize_blt
-from bltnoise.params import blt_coeffs, degree1_closed_form, diagonal_power_form
+from bltnoise.params import blt_coeffs, degree1_closed_form
 from bltnoise.rational import (
     degree_for_error,
     newman_sqrt,
     ra_blt_build,
-    weighted_parseval_check,
 )
 from bltnoise.recursive import blt_base_factory, comb_dense, comc_dense, recursive_stream
 from bltnoise.seq import ltt_apply_dense, ltt_dense, optimal_coeffs, series_reciprocal
@@ -40,7 +39,12 @@ from bltnoise.streaming import (
     stream_init,
 )
 
-from helpers import consumption_perm, random_factorization, reference_normals
+from helpers import (
+    consumption_perm,
+    random_factorization,
+    reference_normals,
+    weighted_parseval_check,
+)
 
 
 @contextmanager
@@ -258,7 +262,7 @@ def test_criterion_13_scale_performance(capfd):
     with criterion(capfd, 13, "million-step noise generation", 60):
         d, n, m = 5, 10**6, 100
         fact = ra_blt_build(d, n)
-        state = stream_init(diagonal_power_form(fact.rational()), m)
+        state = stream_init(fact.rational(), m)
         # recurrence buffer plus the per-step accumulator stay within budget
         assert state.S.nbytes + m * 8 <= (d + 1) * m * 8
 

@@ -1,9 +1,11 @@
 """Every module-level function and class in the package has a caller, and
 every module-level import is named by its module.
 
-A definition passes when another module of the package names it, its own
-module uses it beyond the definition, or ``bltnoise.__all__`` exports it.
-The only exceptions are the test oracles below, each with its reason.
+A definition passes when another module of the package names it or its own
+module uses it beyond the definition; ``__init__.py``'s re-exports and
+``__all__`` do not count as uses.  The only exceptions are the library entry
+points that the README documents and the test oracles below, each with its
+reason.
 No linter is part of the toolchain, so the import check lives here too.
 The benchmark tracer wraps package names by ``getattr``; they must resolve.
 """
@@ -17,11 +19,23 @@ import bltnoise
 
 PACKAGE = Path(bltnoise.__file__).resolve().parent
 
-# Checks of the paper's lemmas that only tests call.
+# Exported for library users and documented in the README; no package code
+# calls them.
+LIBRARY_ENTRY_POINTS = {
+    "recursive_stream",
+    "blt_base_factory",
+    "theorem2_params",
+    "degree_for_error",
+}
+
+# Checks of the paper's lemmas, and the references the engine is tested
+# against, that only tests call.
 TEST_ORACLES = {
     "newman_error_bound": "closed-disc error bound of the sqrt(1-x) approximant",
     "rational_sqrt_free": "free-step approximant the unit-disc one is built from",
     "rational_sqrt_free_bound": "error bound of the free-step approximant",
+    "stream_init": "one-row form the block engine is tested against",
+    "stream_step": "one-row form the block engine is tested against; the benchmark tracer names it",
 }
 
 
@@ -38,18 +52,26 @@ def _names_used(tree):
 
 
 def test_every_definition_is_used_exported_or_an_oracle():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
-    used = {module: _names_used(tree) for module, tree in trees.items()}
-    uncalled = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name in bltnoise.__all__ or any(node.name in u for u in used.values()):
-                continue
-            uncalled.add(node.name)
-    # a stale oracle entry (deleted, or now called) fails as well
-    assert uncalled == set(TEST_ORACLES)
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"))
+        for p in PACKAGE.glob("*.py")
+        if p.name != "__init__.py"
+    }
+    used = set().union(*map(_names_used, trees.values()))
+    uncalled = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    }
+    # a stale entry (deleted, or now called) fails as well
+    assert uncalled == set(TEST_ORACLES) | LIBRARY_ENTRY_POINTS
+
+
+def test_library_entry_points_are_exported_and_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert LIBRARY_ENTRY_POINTS <= set(bltnoise.__all__)
+    assert [name for name in sorted(LIBRARY_ENTRY_POINTS) if f"`{name}" not in readme] == []
 
 
 def _module_imports(tree):

@@ -5,24 +5,25 @@ import pytest
 
 from bltnoise.params import (
     BltFactorization,
-    MatrixPowerForm,
     RationalBlt,
     blt_coeffs,
     degree1_closed_form,
-    diagonal_power_form,
     load_factorization,
     residues_from_roots,
     save_factorization,
 )
-from bltnoise.seq import ToeplitzSeq, cauchy_product, ltt_apply_dense, series_reciprocal
+from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, series_reciprocal
 
-from helpers import random_factorization, random_rational
+from helpers import cauchy_product, random_factorization, random_rational
 
 
-def power_coeffs(form, n):
-    """``r_k = u^T W^k v + t * [k == 0]`` by explicit matrix powers."""
-    rk = np.array([form.u @ np.linalg.matrix_power(form.W, k) @ form.v for k in range(n)])
-    rk[0] += form.t
+def power_coeffs(theta, omega, t, n):
+    """``r_k = 1^T W^k v + (t - 1^T v) * [k == 0]`` by explicit powers of
+    ``W = diag(theta)``, with ``v = omega/theta``."""
+    W = np.diag(theta)
+    v = np.asarray(omega) / np.asarray(theta)
+    rk = np.array([np.ones(len(theta)) @ np.linalg.matrix_power(W, k) @ v for k in range(n)])
+    rk[0] += t - v.sum()
     return rk
 
 
@@ -98,9 +99,8 @@ class TestBltCoeffs:
         rng = np.random.default_rng(8)
         for _ in range(5):
             r = random_rational(rng, 2)
-            form = diagonal_power_form(r)
             np.testing.assert_allclose(
-                blt_coeffs(r, 64).coeffs, power_coeffs(form, 64), rtol=1e-12
+                blt_coeffs(r, 64).coeffs, power_coeffs(r.theta, r.omega, r.t, 64), rtol=1e-12
             )
 
     def test_reciprocal_multiplies_to_unit(self):
@@ -125,15 +125,15 @@ class TestBltCoeffs:
 class TestMatrixPowerForm:
     def test_diagonal_form_coeffs(self):
         r = RationalBlt([0.5, 0.25], [0.375, 0.125], 1.0)
-        form = diagonal_power_form(r)
-        rk = power_coeffs(form, 5)
+        rk = power_coeffs(r.theta, r.omega, r.t, 5)
         expected = [1.0] + [0.375 * 0.5 ** (k - 1) + 0.125 * 0.25 ** (k - 1) for k in range(1, 5)]
         np.testing.assert_allclose(rk, expected, rtol=1e-14)
 
     def test_dimension_zero(self):
-        form = MatrixPowerForm(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 2.0)
-        assert form.dim == 0 and form.W.shape == (0, 0)
-        np.testing.assert_array_equal(power_coeffs(form, 3), [2.0, 0.0, 0.0])
+        r = RationalBlt(np.zeros(0), np.zeros(0), 2.0)
+        assert r.degree == 0
+        np.testing.assert_array_equal(power_coeffs(r.theta, r.omega, r.t, 3), [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(blt_coeffs(r, 3).coeffs, [2.0, 0.0, 0.0])
 
 
 class TestBltFactorization:

@@ -16,9 +16,10 @@ from bltnoise.rational import (
     ra_blt_build,
     rational_sqrt_free,
     rational_sqrt_free_bound,
-    weighted_parseval_check,
 )
 from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, optimal_coeffs, series_reciprocal
+
+from helpers import weighted_parseval_check
 
 
 def unit_circle(num):

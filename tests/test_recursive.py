@@ -323,6 +323,16 @@ class TestBatchedBlocks:
         short = z[: len(z) - (levels - 1)]
         assert len(self.stream(fact, n1, levels, m, short)) == n1**levels
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+    def test_one_step_base(self, levels):
+        """At n1 = 1 every level has the one row b0 * z0, from either source."""
+        m = 3
+        fact, z = self.setup(1, levels, m, 24)
+        base = blt_base_factory(fact, m)
+        for source in (z, iter(list(z))):
+            rows = list(recursive_stream(base, 1, levels, m, source))
+            np.testing.assert_array_equal(np.vstack(rows), base(1)[0] * z[:1])
+
     def test_short_array_raises(self):
         n1, levels, m = 3, 3, 2
         fact, z = self.setup(n1, levels, m, 22)

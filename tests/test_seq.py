@@ -8,12 +8,13 @@ import pytest
 from bltnoise.seq import (
     DENSE_CAP,
     ToeplitzSeq,
-    cauchy_product,
     ltt_apply_dense,
     ltt_dense,
     optimal_coeffs,
     series_reciprocal,
 )
+
+from helpers import cauchy_product
 
 
 class TestOptimalCoeffs:

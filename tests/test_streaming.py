@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from bltnoise import streaming
-from bltnoise.params import (
-    BltFactorization,
-    MatrixPowerForm,
-    blt_coeffs,
-    diagonal_power_form,
-)
+from bltnoise.params import BltFactorization, RationalBlt, blt_coeffs
 from bltnoise.seq import ltt_apply_dense
 from bltnoise.streaming import (
     ENGINE,
@@ -41,31 +36,29 @@ class TestStreamStep:
     def test_impulse_response(self):
         r = random_rational(np.random.default_rng(0), 1)
         r = type(r)(theta=[0.5], omega=[0.5], t=1.0)
-        state = stream_init(diagonal_power_form(r), 1)
+        state = stream_init(r, 1)
         outs = [stream_step(state, np.array([z])) for z in (1.0, 0.0, 0.0)]
         np.testing.assert_allclose(np.concatenate(outs), [1.0, 0.5, 0.25], rtol=1e-15)
 
     def test_prefix_sums(self):
         r = type(random_rational(np.random.default_rng(0), 1))([1.0], [1.0], 1.0)
-        state = stream_init(diagonal_power_form(r), 1)
+        state = stream_init(r, 1)
         outs = [stream_step(state, np.array([1.0])) for _ in range(3)]
         np.testing.assert_array_equal(np.concatenate(outs), [1.0, 2.0, 3.0])
 
     def test_init_shape_and_first_output(self):
         rng = np.random.default_rng(1)
         r = random_rational(rng, 2)
-        form = diagonal_power_form(r)
-        state = stream_init(form, 3)
+        state = stream_init(r, 3)
         assert state.S.shape == (2, 3)
         assert not state.S.any() and state.k == 0
         z = rng.standard_normal(3)
         out = stream_step(state, z)
-        r0 = form.t + form.u @ form.v
+        r0 = blt_coeffs(r, 1).coeffs[0]
         np.testing.assert_allclose(out, r0 * z, rtol=1e-14)
 
     def test_degree_zero(self):
-        form = MatrixPowerForm(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 1.0)
-        state = stream_init(form, 2)
+        state = stream_init(RationalBlt(np.zeros(0), np.zeros(0), 1.0), 2)
         assert state.S.shape == (0, 2)
         z = np.array([3.0, -1.0])
         np.testing.assert_array_equal(stream_step(state, z), z)
@@ -77,7 +70,7 @@ class TestStreamStep:
             r = random_rational(rng, 3)
             rc = blt_coeffs(r, n)
             Z = rng.standard_normal((n, m))
-            state = stream_init(diagonal_power_form(r), m)
+            state = stream_init(r, m)
             got = np.vstack([stream_step(state, Z[k]) for k in range(n)])
             np.testing.assert_allclose(got, ltt_apply_dense(rc, Z), rtol=1e-10, atol=1e-12)
 
@@ -85,26 +78,20 @@ class TestStreamStep:
         """After k steps the buffer equals sum_j W^{k-1-j} v Z_j."""
         rng = np.random.default_rng(7)
         r = random_rational(rng, 2)
-        form = diagonal_power_form(r)
         Z = rng.standard_normal((5, 1))
-        state = stream_init(form, 1)
+        state = stream_init(r, 1)
         for k in range(5):
             stream_step(state, Z[k])
-        W = form.W
+        W, v = np.diag(r.theta), r.omega / r.theta
         expected = sum(
-            np.linalg.matrix_power(W, 4 - j) @ np.outer(form.v, Z[j]) for j in range(5)
+            np.linalg.matrix_power(W, 4 - j) @ np.outer(v, Z[j]) for j in range(5)
         )
         np.testing.assert_allclose(state.S, expected, rtol=1e-12)
         assert state.k == 5
 
-    def test_non_diagonal_w_rejected(self):
-        form = MatrixPowerForm(np.ones(2), [[0.5, 0.1], [0.0, 0.25]], np.ones(2), 0.0)
-        with pytest.raises(ValueError, match="W must be diagonal"):
-            stream_init(form, 1)
-
     def test_dimension_mismatch(self):
         r = type(random_rational(np.random.default_rng(0), 1))([0.5], [0.5], 1.0)
-        state = stream_init(diagonal_power_form(r), 2)
+        state = stream_init(r, 2)
         with pytest.raises(ValueError):
             stream_step(state, np.ones(3))
 
@@ -130,6 +117,32 @@ class TestNoiseStreamConfig:
             NoiseStreamConfig(fact, 8, 1, seed=0, zeta=-0.1)
         with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 8, 1, seed=0, zeta=1.0, output_kind="bogus")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 10.5),
+            ("n", 8.0),
+            ("m", 2.5),
+            ("m", "3"),
+            ("seed", 1.5),
+            ("seed", None),
+            ("seed", True),
+        ],
+    )
+    def test_non_integer_rejected(self, field, value):
+        kwargs = dict(factorization=BltFactorization([0.5], [0.75], 8), n=8, m=1, seed=0, zeta=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            NoiseStreamConfig(**kwargs)
+
+    def test_numpy_integers_read_as_int(self):
+        fact = BltFactorization([0.5], [0.75], 8)
+        cfg = NoiseStreamConfig(fact, np.int64(8), np.int32(2), seed=np.uint64(3), zeta=1.0)
+        assert (cfg.n, cfg.m, cfg.seed) == (8, 2, 3)
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.seed))
+        want = np.vstack(list(noise_stream(NoiseStreamConfig(fact, 8, 2, seed=3, zeta=1.0))))
+        assert np.array_equal(np.vstack(list(noise_stream(cfg))), want)
 
     @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_zeta_rejected(self, zeta):
@@ -346,7 +359,7 @@ class TestBlockEngine:
         cfg = NoiseStreamConfig(fact, n, m, seed=61, zeta=1.0)
         got = np.vstack(list(noise_stream(cfg)))
         z = reference_normals(61, n, m) * cfg.sigma
-        state = stream_init(diagonal_power_form(fact.rational()), m)
+        state = stream_init(fact.rational(), m)
         want = np.vstack([stream_step(state, z[k]) for k in range(n)])
         scale = np.max(np.abs(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -401,7 +414,7 @@ class TestStateSize:
         """The only live state is the d x m buffer (plus O(d) parameters)."""
         rng = np.random.default_rng(37)
         r = random_rational(rng, 5)
-        state = stream_init(diagonal_power_form(r), 7)
+        state = stream_init(r, 7)
         assert state.S.nbytes == 5 * 7 * 8
         for _ in range(100):
             stream_step(state, np.zeros(7))
