@@ -35,13 +35,12 @@ _COEFF_CHUNK = 1 << 16
 class RationalBlt:
     """Pole/residue form of a degree-d rational generator.
 
-    Coefficients follow ``r_0 = t`` and ``r_k = sum_j omega_j theta_j^{k-1}``
-    for ``k >= 1``; canonical factorization generators have ``t = 1``.
+    Coefficients follow ``r_0 = 1`` and ``r_k = sum_j omega_j theta_j^{k-1}``
+    for ``k >= 1``.
     """
 
     theta: np.ndarray
     omega: np.ndarray
-    t: float = 1.0
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -53,8 +52,8 @@ class RationalBlt:
                 raise ValueError("theta entries must lie in (0, 1]")
             if np.unique(theta).size != theta.size:
                 raise ValueError("theta entries must be pairwise distinct")
-        if not (np.all(np.isfinite(omega)) and np.isfinite(self.t)):
-            raise ValueError("parameters must be finite")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("omega entries must be finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "omega", omega)
 
@@ -68,10 +67,7 @@ def blt_coeffs(b: RationalBlt, n: int) -> ToeplitzSeq:
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty(n)
-    out[0] = b.t
-    if b.degree == 0:
-        out[1:] = 0.0
-        return ToeplitzSeq(out)
+    out[0] = 1.0
     for k0 in range(1, n, _COEFF_CHUNK):
         k1 = min(k0 + _COEFF_CHUNK, n)
         powers = b.theta[None, :] ** np.arange(k0 - 1, k1 - 1)[:, None]
@@ -126,19 +122,27 @@ def _residues_one_side(poles, zeros):
     return out
 
 
+@dataclass(eq=False)
 class BltFactorization:
     """A matched factor pair stored by its 2d root parameters plus a target n.
 
     ``theta`` are the inverse-C generator's pole reciprocals (B side),
-    ``theta_hat`` its zeros (C side); residues are derived on demand.
-    Constructions whose roots cannot be resolved at float64 (the rational
-    approximation at large degree) carry their analytically exact B-side
-    residues as an override; overrides are never serialized.
+    ``theta_hat`` its zeros (C side); the B-side residues ``omega`` are
+    derived from the roots at construction.  Constructions whose roots cannot
+    be resolved at float64 (the rational approximation at large degree) pass
+    their analytically exact residues instead; residues are never serialized.
     """
 
-    def __init__(self, theta, theta_hat, n, method="manual", omega_override=None, meta=None):
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=np.float64))
+    theta: np.ndarray
+    theta_hat: np.ndarray
+    n: int
+    method: str = "manual"
+    omega: np.ndarray = None
+    meta: dict = None
+
+    def __post_init__(self):
+        theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
+        theta_hat = np.atleast_1d(np.asarray(self.theta_hat, dtype=np.float64))
         if theta.ndim != 1 or theta.shape != theta_hat.shape:
             raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
         for name, arr in (("theta", theta), ("theta_hat", theta_hat)):
@@ -146,39 +150,27 @@ class BltFactorization:
                 raise ValueError(f"{name} entries must lie in (0, 1]")
             if np.unique(arr).size != arr.size:
                 raise ValueError(f"{name} entries must be pairwise distinct")
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError("n must be a positive integer")
-        if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}")
+        n = self.n
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         self.theta = theta
         self.theta_hat = theta_hat
         self.n = int(n)
-        self.method = method
-        self.meta = dict(meta) if meta else {}
-        self._omega = None if omega_override is None else np.asarray(omega_override, dtype=np.float64)
-        self._omega_hat = None
+        self.meta = dict(self.meta or {})
+        if self.omega is None:
+            self.omega = residues_from_roots(theta, theta_hat)[0]
+        else:
+            self.omega = np.asarray(self.omega, dtype=np.float64)
 
     @property
     def degree(self) -> int:
         return self.theta.size
 
-    @property
-    def omega(self) -> np.ndarray:
-        if self._omega is None:
-            self._omega, self._omega_hat = residues_from_roots(self.theta, self.theta_hat)
-        return self._omega
-
-    @property
-    def omega_hat(self) -> np.ndarray:
-        if self._omega_hat is None:
-            om, self._omega_hat = residues_from_roots(self.theta, self.theta_hat)
-            if self._omega is None:
-                self._omega = om
-        return self._omega_hat
-
     def rational(self) -> RationalBlt:
         """Pole/residue form of the inverse-C generator r(x)."""
-        return RationalBlt(self.theta, self.omega, 1.0)
+        return RationalBlt(self.theta, self.omega)
 
     def to_json_dict(self) -> dict:
         meta = {"method": self.method, "version": 1}
@@ -212,10 +204,8 @@ def degree1_closed_form(n: int) -> BltFactorization:
     return BltFactorization([lam - a2], [lam], n, method="degree1")
 
 
-def save_factorization(fact: BltFactorization, path, extra_meta=None) -> None:
+def save_factorization(fact: BltFactorization, path) -> None:
     payload = fact.to_json_dict()
-    if extra_meta:
-        payload["meta"].update(extra_meta)
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
@@ -236,13 +226,13 @@ def load_factorization(path) -> BltFactorization:
     theta_hat = np.asarray(payload["theta_hat"], dtype=np.float64)
     if len(theta) != payload["degree"] or len(theta_hat) != payload["degree"]:
         raise ValueError("degree field does not match stored roots")
+    extra = {k: v for k, v in meta.items() if k not in ("method", "version")}
     if method == "ra":
         from .rational import ra_blt_build
 
         fact = ra_blt_build(payload["degree"], payload["n"])
         if not np.allclose(fact.theta, theta, rtol=0, atol=1e-12):
             raise ValueError("stored roots do not match the regenerated construction")
-        fact.meta.update({k: v for k, v in meta.items() if k not in ("method", "version")})
+        fact.meta.update(extra)
         return fact
-    extra = {k: v for k, v in meta.items() if k not in ("method", "version")}
     return BltFactorization(theta, theta_hat, payload["n"], method=method, meta=extra)

@@ -24,7 +24,7 @@ analytically exact residues are carried alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,47 +35,40 @@ _BISECT_ITERS = 90
 
 @dataclass(frozen=True)
 class SqrtApproxTerms:
-    """Pole expansion of the degree-d approximant to sqrt(1-x).
+    """The exponentially spaced pole ladder k = -d_minus..d_plus at step h.
 
-    ``terms`` holds (center, weight) pairs with all centers > 1 (up to float
-    collapse at extreme degrees) and the evaluation rule
-    ``rt(x) = constant - sum_k weight_k / (center_k - x)``.
+    ``offsets`` are the ascending pole offsets 2 e^{2hk}, ``weights`` the
+    pole weights (4h sqrt(2)/pi) e^{3hk} and ``constant`` is
+    (2h sqrt(2)/pi) sum_k e^{hk}, so that the degree-d approximant to
+    sqrt(1-x) is rt(1 + y) = constant - sum_k weight_k / (offset_k - y).
+    All poles 1 + offset_k exceed 1 (up to float collapse at extreme degrees).
     """
 
     d_plus: int
     d_minus: int
     h: float
-    terms: tuple
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    constant: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = 2.0 * self.h * math.sqrt(2.0) / math.pi
+        k = np.arange(-self.d_minus, self.d_plus + 1)
+        object.__setattr__(self, "offsets", 2.0 * np.exp(2.0 * self.h * k))
+        object.__setattr__(self, "weights", scale * 2.0 * np.exp(3.0 * self.h * k))
+        object.__setattr__(self, "constant", float(scale * np.exp(self.h * k).sum()))
 
     @property
     def degree(self) -> int:
         return self.d_plus + self.d_minus + 1
 
-    @property
-    def constant(self) -> float:
-        return _ladder(self.d_plus, self.d_minus, self.h)[2]
-
     def evaluate(self, x):
         """Evaluate the approximant at (arrays of) complex or real ``x``."""
         x = np.asarray(x)
-        centers = np.array([c for c, _ in self.terms])
-        weights = np.array([w for _, w in self.terms])
         vals = self.constant - np.sum(
-            weights / (centers - x[..., None]), axis=-1
+            self.weights / ((1.0 + self.offsets) - x[..., None]), axis=-1
         )
         return vals if vals.shape else vals[()]
-
-
-def _ladder(d_plus: int, d_minus: int, h: float):
-    """(offsets, weights, constant) of the ladder k = -d_minus..d_plus at step
-    h: the ascending pole offsets 2 e^{2hk}, the weights (4h sqrt(2)/pi) e^{3hk}
-    and the constant (2h sqrt(2)/pi) sum_k e^{hk}, so that
-    rt(1 + y) = constant - sum_k weight_k / (offset_k - y)."""
-    scale = 2.0 * h * math.sqrt(2.0) / math.pi
-    k = np.arange(-d_minus, d_plus + 1)
-    offsets = 2.0 * np.exp(2.0 * h * k)
-    weights = scale * 2.0 * np.exp(3.0 * h * k)
-    return offsets, weights, float(scale * np.exp(h * k).sum())
 
 
 def newman_error_bound(d: int) -> float:
@@ -90,15 +83,7 @@ def newman_sqrt(d: int) -> SqrtApproxTerms:
     if d < 3:
         raise ValueError("d must be >= 3 (two-sided pole ladder needs d_plus >= 1)")
     d_plus = (d - 1) // 2
-    d_minus = d - 1 - d_plus
-    h = math.pi / math.sqrt(2.0 * d_plus)
-    offsets, weights, _ = _ladder(d_plus, d_minus, h)
-    return SqrtApproxTerms(
-        d_plus=d_plus,
-        d_minus=d_minus,
-        h=h,
-        terms=tuple(zip((1.0 + offsets).tolist(), weights.tolist())),
-    )
+    return SqrtApproxTerms(d_plus, d - 1 - d_plus, math.pi / math.sqrt(2.0 * d_plus))
 
 
 def degree_for_error(n: int, mu: float) -> int:
@@ -132,7 +117,7 @@ def _interlaced_zeros(offs: np.ndarray, weights: np.ndarray, A: float) -> np.nda
     """Zeros of the approximant other than x = 1, as offsets y = x - 1.
 
     In the y coordinate the approximant is A - sum_k w_k/(offs_k - y), the
-    ``_ladder`` form, with all w_k > 0, hence strictly decreasing between
+    ``SqrtApproxTerms`` form, with all w_k > 0, hence strictly decreasing between
     consecutive ascending pole offsets; bisection in log y resolves each
     bracket.
     """
@@ -167,8 +152,8 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
         raise ValueError("d must be >= 3")
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = newman_sqrt(d)
-    offsets, weights, constant = _ladder(terms.d_plus, terms.d_minus, terms.h)
+    ladder = newman_sqrt(d)
+    offsets, weights, constant = ladder.offsets, ladder.weights, ladder.constant
     theta = 1.0 / (1.0 + offsets)  # the offsets ascend, so theta is descending
     t_raw = constant - float(np.sum(weights * theta))
     omega = -(weights * theta * theta) / t_raw
@@ -176,13 +161,7 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
     theta_hat = np.concatenate(([1.0], 1.0 / (1.0 + ys)))
     theta_stored = _nudge_descending(theta)
     theta_hat_stored = _nudge_descending(theta_hat)
-    return BltFactorization(
-        theta_stored,
-        theta_hat_stored,
-        n,
-        method="ra",
-        omega_override=omega,
-    )
+    return BltFactorization(theta_stored, theta_hat_stored, n, method="ra", omega=omega)
 
 
 def rational_sqrt_free(x, d_plus: int, d_minus: int, h: float):

@@ -40,9 +40,6 @@ class ToeplitzSeq:
     def n(self) -> int:
         return self.coeffs.size
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
 
 def optimal_coeffs(n: int) -> ToeplitzSeq:
     """First ``n`` coefficients of ``1/sqrt(1-x)``, the optimal Toeplitz generator.

@@ -1,8 +1,8 @@
 """Streaming multiplication by a BLT matrix and seeded DP noise generation.
 
 The per-step noise stream is C^{-1} z where C^{-1} is lower-triangular
-Toeplitz with generator r = t + x * sum_k omega_k / (1 - theta_k x).  With
-v = omega/theta, row k is t*z_k + theta^T S before the d x m buffer steps as
+Toeplitz with generator r = 1 + x * sum_k omega_k / (1 - theta_k x).  With
+v = omega/theta, row k is z_k + theta^T S before the d x m buffer steps as
 S <- diag(theta) S + v z_k.  ``stream_init``/``stream_step`` run that one-row
 form; they are the test oracle the block engine is checked against, and no
 stream uses them.  The noise streams run the same recurrence L rows at a
@@ -71,13 +71,13 @@ def stream_init(r: RationalBlt, m: int) -> StreamState:
 
 
 def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
-    """One row of the streaming multiplier: out t*z + theta^T S, then
+    """One row of the streaming multiplier: out z + theta^T S, then
     S <- diag(theta) S + (omega/theta) z."""
     z = np.asarray(z_row, dtype=np.float64)
     if z.shape != state.S.shape[1:]:
         raise ValueError(f"z_row must have shape {state.S.shape[1:]}")
     r = state.r
-    out = r.t * z + r.theta @ state.S
+    out = z + r.theta @ state.S
     state.S *= r.theta[:, None]
     state.S += np.outer(r.omega / r.theta, z)
     state.k += 1

@@ -19,7 +19,7 @@ def random_rational(rng, degree, theta_lo=0.05, theta_hi=0.98, omega_scale=0.8):
         if degree < 2 or np.min(np.diff(theta)) > 1e-3:
             break
     omega = rng.uniform(-omega_scale, omega_scale, size=degree)
-    return RationalBlt(theta=theta, omega=omega, t=1.0)
+    return RationalBlt(theta=theta, omega=omega)
 
 
 def random_factorization(rng, degree, n=64):

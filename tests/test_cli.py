@@ -8,6 +8,7 @@ import pytest
 
 from bltnoise.cli import main
 from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
+from bltnoise.optimizer import OptConfig, optimize_blt
 from bltnoise.params import load_factorization
 
 
@@ -135,6 +136,23 @@ class TestBuildEval:
         code, out, _ = run(capsys, "eval", "--blt", str(path), "--steps", "100")
         assert code == 0
         assert json.loads(out)["max_err"] == pytest.approx(10.0, rel=1e-12)
+
+    def test_eval_rejects_boolean_n(self, capsys, tmp_path):
+        path = tmp_path / "bool_n.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "degree": 1,
+                    "theta": [0.5],
+                    "theta_hat": [0.75],
+                    "n": True,
+                    "meta": {"method": "manual", "version": 1},
+                }
+            )
+        )
+        code, out, err = run(capsys, "eval", "--blt", str(path))
+        assert code == 2 and out == ""
+        assert "n must be a positive integer" in err
 
     def test_eval_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--blt", str(tmp_path / "nope.json"))
@@ -385,6 +403,17 @@ class TestCompare:
             assert float(r[8]) == pytest.approx(float(r[7]) / float(r[3]), rel=1e-9)
         d1 = [r for r in rows if r[0] == "degree1"]
         assert {r[2] for r in d1} == {"100", "1000"}
+
+    def test_opt_row_is_eval_of_optimized_factorization(self, capsys):
+        code, out, _ = run(
+            capsys, "compare", "--methods", "opt", "--degrees", "1", "--n-grid", "100"
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[:3] for r in rows] == [["opt", "1", "100"]]
+        want = max_err(optimize_blt(OptConfig(degree=1, n=100)).factorization, 100)
+        assert rows[0][7] == f"{want.max_err:.12g}"
+        assert rows[0][8] == f"{want.max_err / want.bounds['opt_lt_toe']:.12g}"
 
     def test_low_degree_ra_skipped(self, capsys):
         code, out, err = run(

@@ -1,11 +1,14 @@
-"""Every module-level function and class in the package has a caller, and
-every module-level import is named by its module.
+"""Every module-level function and class in the package has a caller, every
+public class member is named by package code, and every module-level import
+is named by its module.
 
 A definition passes when another module of the package names it or its own
 module uses it beyond the definition; ``__init__.py``'s re-exports and
 ``__all__`` do not count as uses.  The only exceptions are the library entry
 points that the README documents and the test oracles below, each with its
-reason.
+reason.  A public method, property or dataclass field passes when package
+code names it, as an attribute or a keyword argument, outside its own body,
+or when it is listed below with its reason.
 No linter is part of the toolchain, so the import check lives here too.
 The benchmark tracer wraps package names by ``getattr``; they must resolve.
 """
@@ -13,6 +16,7 @@ The benchmark tracer wraps package names by ``getattr``; they must resolve.
 import ast
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import bltnoise
@@ -38,6 +42,20 @@ TEST_ORACLES = {
     "stream_step": "one-row form the block engine is tested against; the benchmark tracer names it",
 }
 
+# Public class members that no package code names.
+UNNAMED_MEMBERS = {
+    "SqrtApproxTerms.evaluate": "the approximant itself; criterion 05 and the lemma tests evaluate it",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _package_trees():
+    return {
+        p.name: ast.parse(p.read_text(encoding="utf-8"))
+        for p in PACKAGE.glob("*.py")
+        if p.name != "__init__.py"
+    }
+
 
 def _names_used(tree):
     used = set()
@@ -52,11 +70,7 @@ def _names_used(tree):
 
 
 def test_every_definition_is_used_exported_or_an_oracle():
-    trees = {
-        p.name: ast.parse(p.read_text(encoding="utf-8"))
-        for p in PACKAGE.glob("*.py")
-        if p.name != "__init__.py"
-    }
+    trees = _package_trees()
     used = set().union(*map(_names_used, trees.values()))
     uncalled = {
         node.name
@@ -66,6 +80,46 @@ def test_every_definition_is_used_exported_or_an_oracle():
     }
     # a stale entry (deleted, or now called) fails as well
     assert uncalled == set(TEST_ORACLES) | LIBRARY_ENTRY_POINTS
+
+
+def _member_names(node):
+    """Attribute and keyword-argument names under ``node``, the two ways code
+    names a member of a class."""
+    named = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            named[sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            named[sub.arg] += 1
+    return named
+
+
+def _public_members(cls):
+    """(name, node) of each public method, property and dataclass field."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def test_every_public_class_member_is_named_or_listed():
+    trees = _package_trees()
+    named = sum(map(_member_names, trees.values()), Counter())
+    unnamed = {
+        f"{cls.name}.{name}"
+        for tree in trees.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for name, node in _public_members(cls)
+        if named[name] <= _member_names(node)[name]
+    }
+    # a stale entry (deleted, or now named) fails as well
+    assert unnamed == set(UNNAMED_MEMBERS)
 
 
 def test_library_entry_points_are_exported_and_documented():

@@ -11,6 +11,7 @@ from bltnoise import error_eval, optimizer
 from bltnoise.error_eval import matousek_lb, max_err, opt_lt_toe
 from bltnoise.optimizer import (
     OptConfig,
+    _loss_core,
     _sanitize,
     geometric_ladder,
     gradient,
@@ -167,14 +168,14 @@ class TestOptimizeBlt:
         """A 200x200 grid search is an independent oracle for the d=1 minimum."""
         n = 100
         grid = np.linspace(0.0025, 0.9975, 200)
-        best_val, best_pt = math.inf, None
-        for th in grid:
-            for thh in grid:
-                if thh <= th:
-                    continue
-                val = loss([th], [thh], n, 0.0)
-                if val < best_val:
-                    best_val, best_pt = val, (th, thh)
+        # every feasible grid point (thh > th) as one batched loss call
+        th, thh = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+        feasible = thh > th
+        th, thh = th[feasible], thh[feasible]
+        vals = _loss_core(th[:, None], thh[:, None], n, 0.0)
+        assert np.all(np.isfinite(vals))
+        k = int(np.argmin(vals))
+        best_val, best_pt = vals[k], (th[k], thh[k])
 
         res = optimize_blt(OptConfig(degree=1, n=n))
         # the optimizer must do at least as well as the coarse grid, and the

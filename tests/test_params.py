@@ -17,13 +17,13 @@ from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, series_reciprocal
 from helpers import cauchy_product, random_factorization, random_rational
 
 
-def power_coeffs(theta, omega, t, n):
-    """``r_k = 1^T W^k v + (t - 1^T v) * [k == 0]`` by explicit powers of
+def power_coeffs(theta, omega, n):
+    """``r_k = 1^T W^k v + (1 - 1^T v) * [k == 0]`` by explicit powers of
     ``W = diag(theta)``, with ``v = omega/theta``."""
     W = np.diag(theta)
     v = np.asarray(omega) / np.asarray(theta)
     rk = np.array([np.ones(len(theta)) @ np.linalg.matrix_power(W, k) @ v for k in range(n)])
-    rk[0] += t - v.sum()
+    rk[0] += 1.0 - v.sum()
     return rk
 
 
@@ -54,7 +54,7 @@ class TestResiduesFromRoots:
             theta_hat = rng.uniform(0.05, 0.95, 3)
             omega, _ = residues_from_roots(theta, theta_hat)
             n = 64
-            r = blt_coeffs(RationalBlt(theta, omega, 1.0), n)
+            r = blt_coeffs(RationalBlt(theta, omega), n)
             p = np.zeros(n)
             p[:4] = poly_from_roots(theta_hat)
             q = np.zeros(n)
@@ -86,13 +86,13 @@ class TestResiduesFromRoots:
 
 class TestBltCoeffs:
     def test_geometric(self):
-        r = RationalBlt([0.5], [0.5], 1.0)
+        r = RationalBlt([0.5], [0.5])
         np.testing.assert_allclose(
             blt_coeffs(r, 4).coeffs, [1.0, 0.5, 0.25, 0.125], rtol=1e-15
         )
 
     def test_all_ones_generator(self):
-        r = RationalBlt([1.0], [1.0], 1.0)
+        r = RationalBlt([1.0], [1.0])
         np.testing.assert_array_equal(blt_coeffs(r, 3).coeffs, [1.0, 1.0, 1.0])
 
     def test_matches_matrix_power_form(self):
@@ -100,7 +100,7 @@ class TestBltCoeffs:
         for _ in range(5):
             r = random_rational(rng, 2)
             np.testing.assert_allclose(
-                blt_coeffs(r, 64).coeffs, power_coeffs(r.theta, r.omega, r.t, 64), rtol=1e-12
+                blt_coeffs(r, 64).coeffs, power_coeffs(r.theta, r.omega, 64), rtol=1e-12
             )
 
     def test_reciprocal_multiplies_to_unit(self):
@@ -124,16 +124,16 @@ class TestBltCoeffs:
 
 class TestMatrixPowerForm:
     def test_diagonal_form_coeffs(self):
-        r = RationalBlt([0.5, 0.25], [0.375, 0.125], 1.0)
-        rk = power_coeffs(r.theta, r.omega, r.t, 5)
+        r = RationalBlt([0.5, 0.25], [0.375, 0.125])
+        rk = power_coeffs(r.theta, r.omega, 5)
         expected = [1.0] + [0.375 * 0.5 ** (k - 1) + 0.125 * 0.25 ** (k - 1) for k in range(1, 5)]
         np.testing.assert_allclose(rk, expected, rtol=1e-14)
 
     def test_dimension_zero(self):
-        r = RationalBlt(np.zeros(0), np.zeros(0), 2.0)
+        r = RationalBlt(np.zeros(0), np.zeros(0))
         assert r.degree == 0
-        np.testing.assert_array_equal(power_coeffs(r.theta, r.omega, r.t, 3), [2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(blt_coeffs(r, 3).coeffs, [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(power_coeffs(r.theta, r.omega, 3), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(blt_coeffs(r, 3).coeffs, [1.0, 0.0, 0.0])
 
 
 class TestBltFactorization:
@@ -159,10 +159,13 @@ class TestBltFactorization:
         with pytest.raises(ValueError):
             BltFactorization([0.5, 0.5], [0.2, 0.3], 10)
 
-    def test_omega_lazy_and_consistent(self):
+    def test_rejects_boolean_n(self):
+        with pytest.raises(ValueError, match="n must be"):
+            BltFactorization([0.5], [0.75], True)
+
+    def test_omega_from_roots(self):
         fact = BltFactorization([0.5], [0.25], 8)
         np.testing.assert_allclose(fact.omega, [0.25])
-        np.testing.assert_allclose(fact.omega_hat, [-0.25])
 
 
 class TestDegree1ClosedForm:

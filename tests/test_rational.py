@@ -35,7 +35,7 @@ class TestNewmanSqrt:
             assert t.d_minus == d - 1 - t.d_plus
             assert t.degree == d
             np.testing.assert_allclose(t.h, math.pi / math.sqrt(2 * t.d_plus), rtol=1e-15)
-            centers = np.array([c for c, _ in t.terms])
+            centers = 1.0 + t.offsets
             assert np.all(centers > 1.0)
 
     def test_rejects_small_degree(self):
@@ -243,7 +243,7 @@ class TestWeightedParseval:
         # sqrt(1-x) has coefficients of 1/sqrt(1-x) pushed through (1-x): c_k = f_k - f_{k-1}
         opt = optimal_coeffs(4000).coeffs
         gc = np.r_[1.0, opt[1:] - opt[:-1]]
-        r0 = t1.constant - sum(w / c for c, w in t1.terms)
+        r0 = t1.constant - sum(w / c for c, w in zip(1.0 + t1.offsets, t1.weights))
         quad, csum = weighted_parseval_check(
             lambda x: f(x) / r0, g, fc, gc, tau=0.005, M=2048
         )

@@ -35,13 +35,13 @@ from helpers import random_factorization, random_rational, reference_normals
 class TestStreamStep:
     def test_impulse_response(self):
         r = random_rational(np.random.default_rng(0), 1)
-        r = type(r)(theta=[0.5], omega=[0.5], t=1.0)
+        r = type(r)(theta=[0.5], omega=[0.5])
         state = stream_init(r, 1)
         outs = [stream_step(state, np.array([z])) for z in (1.0, 0.0, 0.0)]
         np.testing.assert_allclose(np.concatenate(outs), [1.0, 0.5, 0.25], rtol=1e-15)
 
     def test_prefix_sums(self):
-        r = type(random_rational(np.random.default_rng(0), 1))([1.0], [1.0], 1.0)
+        r = type(random_rational(np.random.default_rng(0), 1))([1.0], [1.0])
         state = stream_init(r, 1)
         outs = [stream_step(state, np.array([1.0])) for _ in range(3)]
         np.testing.assert_array_equal(np.concatenate(outs), [1.0, 2.0, 3.0])
@@ -58,7 +58,7 @@ class TestStreamStep:
         np.testing.assert_allclose(out, r0 * z, rtol=1e-14)
 
     def test_degree_zero(self):
-        state = stream_init(RationalBlt(np.zeros(0), np.zeros(0), 1.0), 2)
+        state = stream_init(RationalBlt(np.zeros(0), np.zeros(0)), 2)
         assert state.S.shape == (0, 2)
         z = np.array([3.0, -1.0])
         np.testing.assert_array_equal(stream_step(state, z), z)
@@ -90,7 +90,7 @@ class TestStreamStep:
         assert state.k == 5
 
     def test_dimension_mismatch(self):
-        r = type(random_rational(np.random.default_rng(0), 1))([0.5], [0.5], 1.0)
+        r = type(random_rational(np.random.default_rng(0), 1))([0.5], [0.5])
         state = stream_init(r, 2)
         with pytest.raises(ValueError):
             stream_step(state, np.ones(3))
