@@ -58,7 +58,6 @@ class OptConfig:
 @dataclass
 class OptResult:
     factorization: BltFactorization
-    final_loss: float
     final_max_err: float
     iterations: int
     stop_reason: str
@@ -277,7 +276,6 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         raise RuntimeError("MaxErr below the lower bound; evaluation is inconsistent")
     return OptResult(
         factorization=fact,
-        final_loss=float(f_cur),
         final_max_err=float(final_max_err),
         iterations=iterations,
         stop_reason=stop_reason,

@@ -15,6 +15,7 @@ engine and the evaluators read.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,30 +210,56 @@ def save_factorization(fact: BltFactorization, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    """A flat JSON list of finite numbers."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value
+    )
+
+
 def load_factorization(path) -> BltFactorization:
     """Load a factorization, regenerating exact parameters for constructions.
 
     Files with ``meta.method == "ra"`` are rebuilt from (degree, n) so the
     analytically exact residues are available, then checked against the stored
-    roots.
+    roots.  A malformed file raises ``ValueError`` naming the file and the field.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+
+    def malformed(what):
+        return ValueError(f"factorization file {path}: {what}")
+
+    if not isinstance(payload, dict):
+        raise malformed("must hold a JSON object")
     for key in ("degree", "theta", "theta_hat", "n", "meta"):
         if key not in payload:
-            raise ValueError(f"factorization file missing field {key!r}")
-    meta = payload["meta"]
+            raise malformed(f"missing field {key!r}")
+    meta, n, degree = payload["meta"], payload["n"], payload["degree"]
+    if not isinstance(meta, dict):
+        raise malformed(f"meta must be a JSON object, got {meta!r}")
+    if not (_is_int(n) and n >= 1):
+        raise malformed(f"n must be a positive integer, got {n!r}")
+    if not (_is_int(degree) and degree >= 0):
+        raise malformed(f"degree must be a non-negative integer, got {degree!r}")
+    for key in ("theta", "theta_hat"):
+        if not _is_number_list(payload[key]):
+            raise malformed(f"{key} must be a flat list of finite numbers")
     method = meta.get("method", "manual")
     theta = np.asarray(payload["theta"], dtype=np.float64)
     theta_hat = np.asarray(payload["theta_hat"], dtype=np.float64)
-    if len(theta) != payload["degree"] or len(theta_hat) != payload["degree"]:
-        raise ValueError("degree field does not match stored roots")
+    if len(theta) != degree or len(theta_hat) != degree:
+        raise malformed("degree field does not match stored roots")
     extra = {k: v for k, v in meta.items() if k not in ("method", "version")}
     if method == "ra":
         from .rational import ra_blt_build
 
-        fact = ra_blt_build(payload["degree"], payload["n"])
+        fact = ra_blt_build(degree, n)
         if not np.allclose(fact.theta, theta, rtol=0, atol=1e-12):
-            raise ValueError("stored roots do not match the regenerated construction")
+            raise malformed("stored roots do not match the regenerated construction")
         fact.meta.update(extra)
         return fact
-    return BltFactorization(theta, theta_hat, payload["n"], method=method, meta=extra)
+    return BltFactorization(theta, theta_hat, n, method=method, meta=extra)

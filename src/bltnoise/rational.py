@@ -58,10 +58,6 @@ class SqrtApproxTerms:
         object.__setattr__(self, "weights", scale * 2.0 * np.exp(3.0 * self.h * k))
         object.__setattr__(self, "constant", float(scale * np.exp(self.h * k).sum()))
 
-    @property
-    def degree(self) -> int:
-        return self.d_plus + self.d_minus + 1
-
     def evaluate(self, x):
         """Evaluate the approximant at (arrays of) complex or real ``x``."""
         x = np.asarray(x)

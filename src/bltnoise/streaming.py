@@ -27,12 +27,20 @@ scipy).  The GEMMs run on column tiles of fixed width, aligned to
 absolute column indices.  A column shard regenerates the full-width uniform
 draws, computes the tiles that cover its columns and slices them, so a
 sharded run is bitwise identical to slicing an unsharded run.
+
+Two threads share each stream.  A worker thread draws the next batch's
+normals (Philox, ``ndtri``, times sigma) while the calling thread runs the
+kernel, the prefix stage and the consumer on the current batch.  One draw is
+in flight at a time and only the worker touches the generator, in batch
+order, so the values do not depend on scheduling.  A zero sigma draws nothing
+and starts no thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,11 +63,10 @@ PREFIX = "prefix_noise"
 
 @dataclass
 class StreamState:
-    """Mutable state of the one-row form (single-owner): the d x m buffer,
-    the rows consumed and the generator."""
+    """Mutable state of the one-row form (single-owner): the d x m buffer
+    and the generator."""
 
     S: np.ndarray
-    k: int
     r: RationalBlt
 
 
@@ -67,7 +74,7 @@ def stream_init(r: RationalBlt, m: int) -> StreamState:
     """Zero d x m buffer of the one-row form of the streaming multiplier."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return StreamState(S=np.zeros((r.degree, m)), k=0, r=r)
+    return StreamState(S=np.zeros((r.degree, m)), r=r)
 
 
 def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
@@ -80,7 +87,6 @@ def stream_step(state: StreamState, z_row: np.ndarray) -> np.ndarray:
     out = z + r.theta @ state.S
     state.S *= r.theta[:, None]
     state.S += np.outer(r.omega / r.theta, z)
-    state.k += 1
     return out
 
 
@@ -264,13 +270,48 @@ def _batch_rows(m: int) -> int:
     return max(_BLOCK, _TILE_VALUES // min(m, _TILE) // _BLOCK * _BLOCK)
 
 
+def _normals(bitgen, rows: int, m: int, keep, sigma: float) -> np.ndarray:
+    """The next ``rows`` full-width rows of ``bitgen``'s draws as normals times
+    ``sigma``, in the columns ``keep`` (all of them when None)."""
+    u = _uniform_chunk(bitgen, rows * m).reshape(rows, m)
+    z = ndtri(u if keep is None else u[:, keep])
+    z *= sigma
+    return z
+
+
+class _Draw(threading.Thread):
+    """``_normals(*args)`` on a thread of its own, started at construction."""
+
+    def __init__(self, *args):
+        super().__init__(name="bltnoise-normals")
+        self._args = args
+        self._out = self._exc = None
+        self.start()
+
+    def run(self):
+        try:
+            self._out = _normals(*self._args)
+        except BaseException as exc:  # re-raised by result() on the consumer's thread
+            self._exc = exc
+
+    def result(self) -> np.ndarray:
+        """Wait for the draw; return its normals or raise what it raised."""
+        self.join()
+        if self._exc is not None:
+            raise self._exc
+        return self._out
+
+
 def _engine_rows(cfg: NoiseStreamConfig, columns):
     """Yield (start_row, rows) batches of ``_batch_rows(cfg.m)`` per-step rows
     of ``columns``; the last batch may be shorter.
 
     Each batch draws its full-width uniforms, maps the computed tiles' columns
     through one ``ndtri`` call, and has the kernel write every tile into a new
-    batch array, which is yielded and never reused.
+    batch array, which is yielded and never reused.  The draw of the next
+    batch runs on a worker thread while this thread runs the kernel on the
+    current one and the consumer takes it; one draw is in flight at a time,
+    and the draws run in order, so the values do not depend on scheduling.
     """
     r = cfg.factorization.rational()
     theta, v = r.theta, r.omega / r.theta
@@ -297,18 +338,28 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
     sigma = cfg.sigma
     batch = _batch_rows(cfg.m)
     bitgen = np.random.Philox(key=int(cfg.seed))
-    for start in range(0, cfg.n, batch):
-        rows = min(batch, cfg.n - start)
-        if sigma == 0.0:
-            y = np.zeros((rows, width))
-        else:
-            u = _uniform_chunk(bitgen, rows * cfg.m).reshape(rows, cfg.m)
-            z = ndtri(u if keep is None else u[:, keep])
-            z *= sigma
-            y = np.empty_like(z)
-            for part, S in zip(parts, states):
-                lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
-        yield start, (y if sel is None else y[:, sel])
+
+    def draw(start) -> _Draw | None:
+        """The worker drawing the batch at ``start``, or None past the end."""
+        if start >= cfg.n:
+            return None
+        return _Draw(bitgen, min(batch, cfg.n - start), cfg.m, keep, sigma)
+
+    pending = None if sigma == 0.0 else draw(0)
+    try:
+        for start in range(0, cfg.n, batch):
+            if sigma == 0.0:
+                y = np.zeros((min(batch, cfg.n - start), width))
+            else:
+                z = pending.result()
+                pending = draw(start + batch)
+                y = np.empty_like(z)
+                for part, S in zip(parts, states):
+                    lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
+            yield start, (y if sel is None else y[:, sel])
+    finally:
+        if pending is not None:
+            pending.join()
 
 
 def _noise_chunks(cfg: NoiseStreamConfig, columns=None):

@@ -7,8 +7,9 @@ import mpmath
 import numpy as np
 from scipy.special import ndtri
 
-from bltnoise.params import BltFactorization, RationalBlt
-from bltnoise.seq import ToeplitzSeq
+from bltnoise import streaming
+from bltnoise.params import BltFactorization, RationalBlt, blt_coeffs
+from bltnoise.seq import ToeplitzSeq, ltt_dense
 from bltnoise.streaming import _uniform_chunk
 
 
@@ -190,6 +191,39 @@ def reference_normals(seed, n, m):
     bitgen = np.random.Philox(key=seed)
     u = _uniform_chunk(bitgen, n * m)
     return ndtri(u).reshape(n, m)
+
+
+def serial_noise_chunks(cfg, columns=None):
+    """Oracle of ``streaming._noise_chunks``: the same ``_uniform_chunk``,
+    ``ndtri`` and ``lfilter`` steps run batch by batch on the calling thread.
+
+    Every column tile is computed and a shard is sliced from the full width,
+    so no worker thread and no column selection stand between the draws and
+    the rows.  Yields the same (start_row, rows) batches as the engine.
+    """
+    L, W = streaming._BLOCK, streaming._TILE
+    r = cfg.factorization.rational()
+    T = ltt_dense(blt_coeffs(r, L))
+    powers = r.theta ** np.arange(L + 1)[:, None]
+    P, decay = powers[1:], powers[L]
+    Q = (r.omega / r.theta * powers[L - 1 :: -1]).T
+    states = [np.zeros((r.degree, min(W, cfg.m - c0))) for c0 in range(0, cfg.m, W)]
+    bitgen = np.random.Philox(key=cfg.seed)
+    batch = streaming._batch_rows(cfg.m)
+    prefix = 0.0
+    for start in range(0, cfg.n, batch):
+        rows = min(batch, cfg.n - start)
+        z = streaming.ndtri(_uniform_chunk(bitgen, rows * cfg.m).reshape(rows, cfg.m))
+        z *= cfg.sigma
+        y = np.empty_like(z)
+        for i, S in enumerate(states):
+            part = slice(i * W, (i + 1) * W)
+            streaming.lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
+        if cfg.output_kind == streaming.PREFIX:
+            y[0] += prefix
+            y = np.cumsum(y, axis=0)
+            prefix = y[-1]
+        yield start, (y if columns is None else y[:, columns])
 
 
 def cauchy_product(a, b) -> ToeplitzSeq:

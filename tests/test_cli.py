@@ -165,6 +165,30 @@ class TestBuildEval:
         code, _, _ = run(capsys, "eval", "--blt", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda p: [1], "JSON object"),
+            (lambda p: {**p, "meta": [1]}, "meta"),
+            (lambda p: {**p, "n": "1000"}, "n must"),
+            (lambda p: {**p, "n": 0}, "n must"),
+            (lambda p: {**p, "degree": 5.0}, "degree"),
+            (lambda p: {**p, "theta": None}, "theta must"),
+            (lambda p: {**p, "theta": [[x] for x in p["theta"]]}, "theta must"),
+            (lambda p: {**p, "theta_hat": p["theta_hat"][:-1] + ["0.5"]}, "theta_hat"),
+            (lambda p: {**p, "theta_hat": p["theta_hat"][:-1] + [float("nan")]}, "theta_hat"),
+        ],
+    )
+    def test_malformed_field_is_named(self, capsys, tmp_path, edit, field):
+        path = tmp_path / "ra5.json"
+        assert main(["build", "--method", "ra", "--degree", "5", "--steps", "1000", "--out", str(path)]) == 0
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        code, out, err = run(capsys, "eval", "--blt", str(path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert str(path) in err and field in err
+
 
 class TestNoisegen:
     @pytest.fixture()

@@ -7,8 +7,10 @@ module uses it beyond the definition; ``__init__.py``'s re-exports and
 ``__all__`` do not count as uses.  The only exceptions are the library entry
 points that the README documents and the test oracles below, each with its
 reason.  A public method, property or dataclass field passes when package
-code names it, as an attribute or a keyword argument, outside its own body,
-or when it is listed below with its reason.
+code reads it, outside its own body, from an expression that holds its class
+(see ``_Owners``), or when it is listed below with its reason; a keyword
+argument sets a member and does not count, and a read whose receiver's class
+the source does not state counts for no class.
 No linter is part of the toolchain, so the import check lives here too.
 The benchmark tracer wraps package names by ``getattr``; they must resolve.
 """
@@ -42,10 +44,12 @@ TEST_ORACLES = {
     "stream_step": "one-row form the block engine is tested against; the benchmark tracer names it",
 }
 
-# Public class members that no package code names.
-UNNAMED_MEMBERS = {
+# Public class members that no package code reads.
+UNREAD_MEMBERS = {
     "SqrtApproxTerms.evaluate": "the approximant itself; criterion 05 and the lemma tests evaluate it",
     "_Parser.error": "argparse calls it on a usage error",
+    "_Draw.run": "threading calls it on the worker thread",
+    "OptResult.trace": "the per-iteration record the README documents for library users",
 }
 
 
@@ -82,16 +86,18 @@ def test_every_definition_is_used_exported_or_an_oracle():
     assert uncalled == set(TEST_ORACLES) | LIBRARY_ENTRY_POINTS
 
 
-def _member_names(node):
-    """Attribute and keyword-argument names under ``node``, the two ways code
-    names a member of a class."""
-    named = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            named[sub.attr] += 1
-        elif isinstance(sub, ast.keyword) and sub.arg:
-            named[sub.arg] += 1
-    return named
+def _annotated_class(node):
+    """The class an annotation names: ``C``, ``mod.C``, ``"C"`` or ``C | None``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        if isinstance(node.right, ast.Constant) and node.right.value is None:
+            return _annotated_class(node.left)
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def _public_members(cls):
@@ -107,19 +113,121 @@ def _public_members(cls):
             yield name, node
 
 
+class _Owners:
+    """Which package class an expression holds, where the source says so.
+
+    ``self`` in a method holds its class; an annotated parameter, its
+    annotation; a name bound to ``C(...)`` or to the result of a function or
+    method with a return annotation, that class; ``x.f``, the annotation of
+    field or property ``f`` of x's class.  Any other expression is unknown.
+    """
+
+    def __init__(self, trees):
+        self.classes = {
+            c.name: c for tree in trees.values() for c in tree.body if isinstance(c, ast.ClassDef)
+        }
+        returns = {}
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                    returns.setdefault(node.name, set()).add(_annotated_class(node.returns))
+        # a name defined twice with different annotations resolves to neither
+        self.returns = {name: cls.pop() for name, cls in returns.items() if len(cls) == 1}
+        self.members = {}
+        for c in self.classes.values():
+            for name, node in _public_members(c):
+                ann = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+                self.members[c.name, name] = ann and _annotated_class(ann)
+
+    def of(self, expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id)
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name):
+                return func.id if func.id in self.classes else self.returns.get(func.id)
+            expr = func
+        if isinstance(expr, ast.Attribute):
+            return self.members.get((self.of(expr.value, env), expr.attr))
+        return None
+
+    def env(self, fn, cls):
+        """Name -> class in function ``fn``, a method of ``cls`` or module-level."""
+        env = {}
+        for i, arg in enumerate(fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs):
+            if i == 0 and cls is not None:
+                env[arg.arg] = cls
+            elif arg.annotation is not None:
+                env[arg.arg] = _annotated_class(arg.annotation)
+        for _ in range(2):  # a binding may read a name bound after it in walk order
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+                    owner = self.of(node.value, env)
+                    if owner is not None:
+                        env[node.targets[0].id] = owner
+        return env
+
+
+def _member_reads(trees):
+    """(class, member) of each attribute read whose receiver's class is known.
+
+    A keyword argument, as at construction, sets a member and is not a read,
+    and a member's reads inside its own body do not count.
+    """
+    owners = _Owners(trees)
+    reads = Counter()
+    for tree in trees.values():
+        scopes = [(fn, None) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [
+            (fn, cls.name)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        for fn, cls in scopes:
+            env = owners.env(fn, cls)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    owner = owners.of(node.value, env)
+                    if owner is not None and (owner, node.attr) != (cls, fn.name):
+                        reads[owner, node.attr] += 1
+    return reads
+
+
 def test_every_public_class_member_is_named_or_listed():
     trees = _package_trees()
-    named = sum(map(_member_names, trees.values()), Counter())
-    unnamed = {
+    reads = _member_reads(trees)
+    unread = {
         f"{cls.name}.{name}"
         for tree in trees.values()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
-        for name, node in _public_members(cls)
-        if named[name] <= _member_names(node)[name]
+        for name, _ in _public_members(cls)
+        if not reads[cls.name, name]
     }
-    # a stale entry (deleted, or now named) fails as well
-    assert unnamed == set(UNNAMED_MEMBERS)
+    # a stale entry (deleted, or now read) fails as well
+    assert unread == set(UNREAD_MEMBERS)
+
+
+def test_member_reads_resolve_to_their_owner():
+    src = """
+class A:
+    size: int
+    def grow(self) -> int:
+        return self.size + self.grow()
+class B:
+    size: int
+    link: A
+def make() -> B:
+    return B(size=1, link=A(size=2))
+def use(b: B, args):
+    a = make().link
+    return b.size + a.size + args.grow
+"""
+    reads = _member_reads({"m.py": ast.parse(src)})
+    # A.grow is read only in its own body and by an unknown receiver
+    assert reads == Counter({("A", "size"): 2, ("B", "size"): 1, ("B", "link"): 1})
 
 
 def test_library_entry_points_are_exported_and_documented():

@@ -4,6 +4,10 @@ The package runs on numpy alone: the inverse normal CDF of the noise draws is
 in-tree, so neither importing the package nor running a command, including
 the ones that draw noise, may load any scipy module.  scipy is a test-only
 dependency, the independent oracle of ``helpers.reference_normals``.
+
+The noise engine's worker thread is built on ``threading``, which the
+interpreter has loaded already; importing the package and running
+``optimize`` load no ``concurrent.futures``, so they pay nothing for it.
 """
 
 import json
@@ -17,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.", "bltnoise.")))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.", "bltnoise.", "concurrent.")))))
 """
 
 
@@ -33,6 +37,7 @@ def loaded(body, tmp_path):
 def test_imports_load_no_scipy(tmp_path):
     mods = loaded("import bltnoise.cli\nimport bltnoise", tmp_path)
     assert not any(m.startswith("scipy.") for m in mods)
+    assert "concurrent.futures" not in mods
     assert {"bltnoise.streaming", "bltnoise.rational", "bltnoise.recursive"} <= mods
 
 
@@ -41,7 +46,9 @@ def test_optimize_loads_no_scipy(tmp_path):
         "from bltnoise import cli\n"
         "assert cli.main(['optimize', '--degree', '2', '--steps', '100', '--out', 'o.json']) == 0"
     )
-    assert not any(m.startswith("scipy.") for m in loaded(body, tmp_path))
+    mods = loaded(body, tmp_path)
+    assert not any(m.startswith("scipy.") for m in mods)
+    assert "concurrent.futures" not in mods
 
 
 def test_noisegen_and_verify_load_no_scipy(tmp_path):

@@ -255,7 +255,7 @@ class TestStopReason:
         assert res.stop_reason == "max_iters"
         assert res.iterations == len(res.trace) == 3
         # the third step was taken, so the result lies past the last entry
-        assert res.final_loss < res.trace[-1][0]
+        assert res.trace[-1][2] > 0.0
 
     def test_grad_tol_is_the_converged_stop(self):
         res = optimize_blt(OptConfig(degree=2, n=100, grad_tol=1e9))
@@ -269,7 +269,7 @@ class TestStopReason:
         res = optimize_blt(OptConfig(degree=2, n=100))
         assert res.stop_reason == "line_search_failed"
         assert res.iterations == 1
-        assert res.trace[0][0] == res.final_loss == 1.0
+        assert res.trace[0][0] == 1.0
         assert res.trace[0][2:] == (0.0, 60)
 
     def test_gradient_failed(self, monkeypatch):
@@ -287,7 +287,6 @@ class TestStopReason:
         losses = [entry[0] for entry in res.trace]
         assert len(res.trace) == res.iterations
         assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert losses[-1] == res.final_loss
         grads, steps, backtracks = zip(*[entry[1:] for entry in res.trace])
         assert all(g > 0.0 for g in grads)
         assert all(s > 0.0 for s in steps[:-1]) and steps[-1] == 0.0

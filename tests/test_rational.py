@@ -33,7 +33,7 @@ class TestNewmanSqrt:
             t = newman_sqrt(d)
             assert t.d_plus == (d - 1) // 2
             assert t.d_minus == d - 1 - t.d_plus
-            assert t.degree == d
+            assert t.d_plus + t.d_minus + 1 == d
             np.testing.assert_allclose(t.h, math.pi / math.sqrt(2 * t.d_plus), rtol=1e-15)
             centers = 1.0 + t.offsets
             assert np.all(centers > 1.0)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import threading
+import time
 import warnings
 
 import mpmath
@@ -29,7 +31,7 @@ from bltnoise.streaming import (
 )
 from bltnoise.error_eval import rownorm_of, sensitivity_of
 
-from helpers import random_factorization, random_rational, reference_normals
+from helpers import random_factorization, random_rational, reference_normals, serial_noise_chunks
 
 
 class TestStreamStep:
@@ -51,7 +53,7 @@ class TestStreamStep:
         r = random_rational(rng, 2)
         state = stream_init(r, 3)
         assert state.S.shape == (2, 3)
-        assert not state.S.any() and state.k == 0
+        assert not state.S.any()
         z = rng.standard_normal(3)
         out = stream_step(state, z)
         r0 = blt_coeffs(r, 1).coeffs[0]
@@ -87,7 +89,6 @@ class TestStreamStep:
             np.linalg.matrix_power(W, 4 - j) @ np.outer(v, Z[j]) for j in range(5)
         )
         np.testing.assert_allclose(state.S, expected, rtol=1e-12)
-        assert state.k == 5
 
     def test_dimension_mismatch(self):
         r = type(random_rational(np.random.default_rng(0), 1))([0.5], [0.5])
@@ -363,6 +364,98 @@ class TestBlockEngine:
         want = np.vstack([stream_step(state, z[k]) for k in range(n)])
         scale = np.max(np.abs(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+class TestPipeline:
+    """The next batch's normals are drawn on a worker thread while the kernel
+    and the consumer run the current one."""
+
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    @pytest.mark.parametrize(
+        "m, n, columns",
+        [
+            (1, 70_001, None),  # two 32768-row batches and a tail
+            (130, 600, None),  # 256-row batches, the tail a partial block
+            (130, 600, [127, 128]),  # a shard across the tile edge
+            (1000, 300, None),
+            (1000, 300, [5, 127, 128, 999]),
+        ],
+    )
+    def test_matches_the_serial_oracle_bitwise(self, kind, m, n, columns):
+        fact = random_factorization(np.random.default_rng(97), 3, 64)
+        cfg = NoiseStreamConfig(fact, n, m, seed=101, zeta=1.5, output_kind=kind)
+        assert n % _batch_rows(m)
+        got = list(_noise_chunks(cfg, columns))
+        want = list(serial_noise_chunks(cfg, columns))
+        assert [s for s, _ in got] == [s for s, _ in want] == list(range(0, n, _batch_rows(m)))
+        for (_, a), (_, b) in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _cfg(zeta=1.0):
+        fact = random_factorization(np.random.default_rng(103), 2, 64)
+        return NoiseStreamConfig(fact, 1000, 200, seed=107, zeta=zeta)  # four batches
+
+    def test_one_draw_in_flight_and_joined_on_close(self, monkeypatch):
+        lock, go = threading.Lock(), threading.Event()
+        live, peak, done = [0], [0], []
+        normals = streaming._normals
+
+        def gated_normals(*args):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            if done:  # every draw after the first waits for the test
+                assert go.wait(10)
+            time.sleep(0.005)  # so that two draws in flight would overlap
+            out = normals(*args)
+            with lock:
+                live[0] -= 1
+                done.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(streaming, "_normals", gated_normals)
+        before = threading.active_count()
+        it = noise_stream(self._cfg())
+        next(it)
+        assert threading.active_count() == before + 1  # the second batch is being drawn
+        go.set()
+        it.close()
+        assert done == [256, 256] and threading.active_count() == before
+        assert len(list(noise_stream(self._cfg()))) == 1000
+        assert peak[0] == 1 and threading.active_count() == before
+
+    def test_worker_error_reaches_the_consumer(self, monkeypatch):
+        calls = []
+
+        def ndtri_failing_second(u):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 2:
+                raise RuntimeError("draw failed")
+            return ndtri(u)
+
+        monkeypatch.setattr(streaming, "ndtri", ndtri_failing_second)
+        before = threading.active_count()
+        it = _noise_chunks(self._cfg())
+        assert next(it)[0] == 0
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(it)
+        assert threading.active_count() == before
+        assert calls[1] != threading.current_thread().name
+
+    def test_zeta_zero_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        rows = list(noise_stream(self._cfg(zeta=0.0)))
+        assert len(rows) == 1000 and not np.any(rows) and started == []
+        list(noise_stream(self._cfg()))
+        assert started
 
 
 class TestWriters:
