@@ -1,8 +1,8 @@
 """Command-line front end: build, optimize, evaluate, stream, verify, compare.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-mismatch.  Analysis outputs are CSV on stdout; factorizations and noise go to
-files named by --out.
+Exit codes: 0 success, 1 usage error, 2 bad input or numerical failure,
+3 verification mismatch.  Analysis outputs are CSV on stdout; factorizations
+and noise go to files named by --out.
 """
 
 from __future__ import annotations
@@ -342,8 +342,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, TypeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -249,6 +249,10 @@ def load_factorization(path) -> BltFactorization:
         if not _is_number_list(payload[key]):
             raise malformed(f"{key} must be a flat list of finite numbers")
     method = meta.get("method", "manual")
+    if method not in _METHODS:
+        raise malformed(f"meta.method must be one of {', '.join(_METHODS)}, got {method!r}")
+    if method == "ra" and degree < 3:
+        raise malformed(f"degree must be >= 3 for an ra file, got {degree}")
     theta = np.asarray(payload["theta"], dtype=np.float64)
     theta_hat = np.asarray(payload["theta_hat"], dtype=np.float64)
     if len(theta) != degree or len(theta_hat) != degree:

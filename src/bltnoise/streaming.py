@@ -15,7 +15,7 @@ where T is the L x L lower-triangular Toeplitz matrix of r, P[i,k] =
 theta_k^{i+1} and Q[k,j] = v_k theta_k^{L-1-j}.  Blocks are aligned to
 absolute row indices and batched about ``_TILE_VALUES`` values per column
 tile at a time (32768 rows at m = 1, 256 at m >= 128), so every row costs a
-few GEMM rows and the live state is the d x m buffer plus one batch.  Prefix-sum
+few GEMM rows and the live state is the d x m buffer plus two batches.  Prefix-sum
 noise (B z, with b(x) = r(x)/(1-x)) is the running sum of the per-step rows,
 kept in one extra width-m buffer rather than folding a pole at 1 into the
 factorization.
@@ -28,12 +28,16 @@ absolute column indices.  A column shard regenerates the full-width uniform
 draws, computes the tiles that cover its columns and slices them, so a
 sharded run is bitwise identical to slicing an unsharded run.
 
-Two threads share each stream.  A worker thread draws the next batch's
-normals (Philox, ``ndtri``, times sigma) while the calling thread runs the
-kernel, the prefix stage and the consumer on the current batch.  One draw is
-in flight at a time and only the worker touches the generator, in batch
-order, so the values do not depend on scheduling.  A zero sigma draws nothing
-and starts no thread.
+Two threads share each stream, and two normals buffers allocated once per
+stream take turns between them.  A worker thread draws the next batch's
+normals (Philox, ``ndtri``, times sigma) into one buffer while the calling
+thread owns the other: the kernel and the prefix stage overwrite the current
+batch's normals in place and the consumer takes the buffer.  A batch is valid
+until the next one is requested, when the worker starts drawing into its
+buffer; ``noise_stream`` copies each batch, so the rows it yields stay valid.
+One draw is in flight at a time and only the worker touches the generator,
+in batch order, so the values do not depend on scheduling.  A zero sigma
+draws nothing and starts no thread.
 """
 
 from __future__ import annotations
@@ -124,18 +128,21 @@ class NoiseStreamConfig:
         return float(self.zeta) * sensitivity_of(self.factorization, self.n)
 
 
-def _uniform_chunk(bitgen, count: int) -> np.ndarray:
-    """Uniforms (x>>11 + 0.5) * 2^-53, one per raw uint64, in (0, 1].
+def _uniform_chunk(bitgen, count: int, out=None) -> np.ndarray:
+    """Uniforms (x>>11 + 0.5) * 2^-53, one per raw uint64, in (0, 1], written
+    to ``out`` (``count`` float64 values) when given.
 
     The top raw values round to exactly 1.0 (one draw in 2^53); ``ndtri``
     maps that to a finite value.
     """
     raw = bitgen.random_raw(count)
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+    if out is None:
+        out = np.empty(count)
+    np.copyto(out, raw, casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 # AS 241 (Wichura 1988, "The percentage points of the normal distribution",
@@ -187,19 +194,32 @@ def _ratio(table, t):
     return num
 
 
-def ndtri(u: np.ndarray) -> np.ndarray:
+def ndtri(u: np.ndarray, out=None) -> np.ndarray:
     """Inverse normal CDF of ``u`` in (0, 1], elementwise, by AS 241.
 
     A tail probability min(u, 1 - u) below 2^-54 is read as 2^-54, so u = 1
     gives +8.29, the mirror of the smallest uniform, not inf.
     ``ndtri(1 - u) == -ndtri(u)`` wherever 1 - u is exact.
 
+    The result is written to ``out`` and returned when it is given: a
+    C-contiguous float64 array of ``u``'s size that does not overlap ``u``;
+    it keeps its own shape.
+
     The central region runs in flat chunks of about ``_NDTRI_CHUNK`` values
     through two reused buffers; the tails of all chunks, about 15% of the
     values, then run as one batch.
     """
     x = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty(np.shape(u))
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.size == x.size
+    ):
+        raise ValueError("out must be a C-contiguous float64 array of u's size")
+    result, out = out, out.reshape(-1)
     chunks = max(1, round(x.size / _NDTRI_CHUNK))
     step = max(1, -(-x.size // chunks))
     q_buf, r_buf = np.empty((2, min(step, x.size)))
@@ -230,18 +250,18 @@ def ndtri(u: np.ndarray) -> np.ndarray:
         p -= 0.5
         np.copysign(z, p, out=z)
         out.put(tail, z)
-    return out.reshape(np.shape(u))
+    return result
 
 
-def lfilter(T, P, Q, decay, z, S, out):
-    """Run the rows ``z`` of one column tile through the block recurrence.
+def lfilter(T, P, Q, decay, z, S):
+    """Run the rows ``z`` of one column tile through the block recurrence, in place.
 
     Block after block of L = ``T.shape[0]`` rows, Y = T Z + P S and then
     S <- decay * S + Q Z; the blocks are batched through one ``matmul`` per
     product.  ``S`` (d x width) is updated in place.  A trailing partial block
     uses ``T[:rem, :rem]`` and leaves ``S`` stale, so it must end the stream.
-    Y is written to ``out``, any array of z's shape such as a column slice of
-    a wider batch.
+    Y is written over ``z``, which may be a column slice of a wider batch:
+    both products of Z are formed before the first store.
 
     The name is kept from the per-pole ``scipy.signal.lfilter`` pass this
     kernel replaced: ``perfbench/tracing.py`` times the filter stage under it.
@@ -250,17 +270,18 @@ def lfilter(T, P, Q, decay, z, S, out):
     nb, rem = divmod(z.shape[0], L)
     if nb:
         zb = z[: nb * L].reshape(nb, L, -1)
-        yb = out[: nb * L].reshape(nb, L, -1)
-        np.matmul(T, zb, out=yb)
         qz = Q @ zb
+        y = T @ zb
         starts = np.empty_like(qz)
         for b in range(nb):
             starts[b] = S
             S *= decay[:, None]
             S += qz[b]
-        yb += P @ starts
+        y += P @ starts
+        zb[...] = y
     if rem:
-        out[nb * L :] = T[:rem, :rem] @ z[nb * L :] + P[:rem] @ S
+        tail = z[nb * L :]
+        tail[...] = T[:rem, :rem] @ tail + P[:rem] @ S
 
 
 def _batch_rows(m: int) -> int:
@@ -270,13 +291,22 @@ def _batch_rows(m: int) -> int:
     return max(_BLOCK, _TILE_VALUES // min(m, _TILE) // _BLOCK * _BLOCK)
 
 
-def _normals(bitgen, rows: int, m: int, keep, sigma: float) -> np.ndarray:
-    """The next ``rows`` full-width rows of ``bitgen``'s draws as normals times
-    ``sigma``, in the columns ``keep`` (all of them when None)."""
-    u = _uniform_chunk(bitgen, rows * m).reshape(rows, m)
-    z = ndtri(u if keep is None else u[:, keep])
-    z *= sigma
-    return z
+def _normals(bitgen, rows: int, m: int, keep, sigma: float, out, chunk) -> np.ndarray:
+    """Write the next ``rows`` full-width rows of ``bitgen``'s draws, as
+    normals times ``sigma`` in the columns ``keep`` (all of them when None),
+    to ``out`` (C-contiguous, ``rows`` x the kept width) and return it.
+
+    The uniforms are drawn ``chunk.size // m`` whole rows at a time into the
+    float64 buffer ``chunk``, and each chunk's normals go straight to their
+    rows of ``out``.
+    """
+    step = chunk.size // m
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        u = _uniform_chunk(bitgen, (r1 - r0) * m, chunk[: (r1 - r0) * m]).reshape(-1, m)
+        ndtri(u if keep is None else u[:, keep], out=out[r0:r1])
+    out *= sigma
+    return out
 
 
 class _Draw(threading.Thread):
@@ -306,12 +336,16 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
     """Yield (start_row, rows) batches of ``_batch_rows(cfg.m)`` per-step rows
     of ``columns``; the last batch may be shorter.
 
-    Each batch draws its full-width uniforms, maps the computed tiles' columns
-    through one ``ndtri`` call, and has the kernel write every tile into a new
-    batch array, which is yielded and never reused.  The draw of the next
-    batch runs on a worker thread while this thread runs the kernel on the
-    current one and the consumer takes it; one draw is in flight at a time,
-    and the draws run in order, so the values do not depend on scheduling.
+    The batches live in two normals buffers allocated once per stream, which
+    take turns.  The worker thread owns one while it draws a batch into it:
+    full-width uniforms, a chunk of rows at a time through the uniforms
+    buffer (also allocated once, and only the worker's), the computed tiles'
+    columns through ``ndtri``, times sigma.  The calling thread owns the
+    other: the kernel filters every tile in place, and the buffer (or, for a
+    shard, the requested columns copied out of it) is yielded.  A yielded
+    batch is valid until the next one is requested, when the worker starts
+    drawing into its buffer.  One draw is in flight at a time, and the draws
+    run in order, so the values do not depend on scheduling.
     """
     r = cfg.factorization.rational()
     theta, v = r.theta, r.omega / r.theta
@@ -337,25 +371,31 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
     width = cfg.m if keep is None else keep.size
     sigma = cfg.sigma
     batch = _batch_rows(cfg.m)
+    if sigma == 0.0:
+        for start in range(0, cfg.n, batch):
+            y = np.zeros((min(batch, cfg.n - start), width))
+            yield start, (y if sel is None else y[:, sel])
+        return
     bitgen = np.random.Philox(key=int(cfg.seed))
+    buffers = np.empty((2, min(batch, cfg.n), width))
+    # the worker's uniforms: about 4 * _TILE_VALUES values, in whole rows
+    chunk = np.empty(min(max(1, 4 * _TILE_VALUES // cfg.m), batch, cfg.n) * cfg.m)
 
     def draw(start) -> _Draw | None:
-        """The worker drawing the batch at ``start``, or None past the end."""
+        """The worker drawing the batch at ``start`` into its buffer, or None past the end."""
         if start >= cfg.n:
             return None
-        return _Draw(bitgen, min(batch, cfg.n - start), cfg.m, keep, sigma)
+        rows = min(batch, cfg.n - start)
+        out = buffers[start // batch % 2, :rows]
+        return _Draw(bitgen, rows, cfg.m, keep, sigma, out, chunk)
 
-    pending = None if sigma == 0.0 else draw(0)
+    pending = draw(0)
     try:
         for start in range(0, cfg.n, batch):
-            if sigma == 0.0:
-                y = np.zeros((min(batch, cfg.n - start), width))
-            else:
-                z = pending.result()
-                pending = draw(start + batch)
-                y = np.empty_like(z)
-                for part, S in zip(parts, states):
-                    lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
+            y = pending.result()
+            pending = draw(start + batch)
+            for part, S in zip(parts, states):
+                lfilter(T, P, Q, decay, y[:, part], S)
             yield start, (y if sel is None else y[:, sel])
     finally:
         if pending is not None:
@@ -365,7 +405,11 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
 def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     """Yield the stream as the block engine's (start_row, rows) batches of
     ``_batch_rows(cfg.m)`` rows; prefix noise adds the running sum of the
-    per-step rows."""
+    per-step rows, in place.
+
+    A batch is the engine's buffer, valid until the next one is requested;
+    a consumer that keeps one copies it.
+    """
     prefix = 0.0
     for start, y in _engine_rows(cfg, columns):
         if cfg.output_kind == PREFIX:
@@ -379,10 +423,11 @@ def noise_stream(cfg: NoiseStreamConfig, columns=None):
     """Iterate the n noise rows of the configured stream.
 
     ``columns`` restricts output to those columns (a shard); the values are
-    bitwise identical to the same columns of the full stream.
+    bitwise identical to the same columns of the full stream.  The rows are
+    views of a copy of each batch, so they never change once handed out.
     """
     for _, block in _noise_chunks(cfg, columns=columns):
-        yield from block
+        yield from block.copy()
 
 
 def write_noise_csv(cfg: NoiseStreamConfig, path) -> None:

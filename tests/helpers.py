@@ -215,10 +215,10 @@ def serial_noise_chunks(cfg, columns=None):
         rows = min(batch, cfg.n - start)
         z = streaming.ndtri(_uniform_chunk(bitgen, rows * cfg.m).reshape(rows, cfg.m))
         z *= cfg.sigma
-        y = np.empty_like(z)
+        y = z.copy()
         for i, S in enumerate(states):
             part = slice(i * W, (i + 1) * W)
-            streaming.lfilter(T, P, Q, decay, z[:, part], S, y[:, part])
+            streaming.lfilter(T, P, Q, decay, y[:, part], S)
         if cfg.output_kind == streaming.PREFIX:
             y[0] += prefix
             y = np.cumsum(y, axis=0)

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bltnoise
+from bltnoise import cli
 from bltnoise.cli import main
 from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
 from bltnoise.optimizer import OptConfig, optimize_blt
@@ -535,6 +540,80 @@ class TestUsageErrors:
         assert main(["bounds", "--n-max", "4", "--frobnicate"]) == 1
         # optimize is deterministic and takes no seed
         assert main(["optimize", "--degree", "1", "--steps", "8", "--seed", "0", "--out", "x"]) == 1
+
+
+class TestMalformedInputs:
+    """Bad files and values exit with one ``error:`` line that names the
+    field, never a traceback; run as a fresh interpreter, as a user runs it."""
+
+    @pytest.mark.parametrize(
+        "argv, edit, code, named",
+        [
+            (["eval"], lambda p: [1], 2, "JSON object"),
+            (["eval"], lambda p: {**p, "meta": [1]}, 2, "meta must"),
+            (["eval"], lambda p: {**p, "meta": {"method": ["ra"]}}, 2, "meta.method"),
+            (["eval"], lambda p: {**p, "n": "1000"}, 2, "n must"),
+            (["eval"], lambda p: {**p, "theta": None}, 2, "theta must"),
+            (["eval"], lambda p: {**p, "theta": "abc"}, 2, "theta must"),
+            (
+                ["eval"],
+                lambda p: {**p, "degree": 2, "theta": p["theta"][:2], "theta_hat": p["theta_hat"][:2]},
+                2,
+                "degree must be >= 3",
+            ),
+            (["noisegen", "--steps", "5", "--dim", "2"], lambda p: {**p, "degree": 2.0}, 2, "degree must"),
+            # a 7 PiB array: the allocation fails at once on any machine
+            (["eval", "--steps", str(10**15)], None, 2, "Unable to allocate"),
+            (["noisegen", "--steps", "5", "--dim", "0"], None, 2, "m must"),
+            (["noisegen", "--steps", "5", "--dim", "2", "--seed", "-1"], None, 2, "seed must"),
+            (["noisegen", "--steps", "5", "--dim", "2", "--zeta", "nan"], None, 2, "zeta must"),
+            (["verify", "--steps", "20000", "--dim", "1"], None, 2, "--steps"),
+            (["noisegen", "--steps", "abc", "--dim", "2"], None, 1, "--steps"),
+            (["eval", "--steps"], None, 1, "--steps"),
+        ],
+    )
+    def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):
+        path = tmp_path / "ra5.json"
+        assert main(["build", "--method", "ra", "--degree", "5", "--steps", "1000", "--out", str(path)]) == 0
+        if edit is not None:
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        argv = [argv[0], "--blt", str(path), *argv[1:]]
+        if argv[0] == "noisegen":
+            argv += ["--out", str(tmp_path / "noise.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(bltnoise.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bltnoise.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+        if code == 2:
+            assert proc.stdout == "" and proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+            if edit is not None:
+                assert str(path) in proc.stderr
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (TypeError("len() of unsized object"), "error: len() of unsized object"),
+            (MemoryError("Unable to allocate 8 EiB"), "error: Unable to allocate 8 EiB"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+    )
+    def test_type_and_memory_errors_exit_2(self, capsys, monkeypatch, tmp_path, exc, line):
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "max_err", failing)
+        path = tmp_path / "d1.json"
+        assert main(["build", "--method", "degree1", "--steps", "8", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(capsys, "eval", "--blt", str(path)) == (2, "", line + "\n")
 
 
 class TestInstalledEntryPoint:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import threading
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -292,6 +293,45 @@ class TestNdtri:
         assert ndtri(np.empty((0, 4))).shape == (0, 4)
         assert ndtri(0.5) == 0.0
 
+    def test_out_is_bitwise_the_allocating_call(self):
+        far = float(np.exp(-30))
+        u = np.concatenate([
+            [0.5, 0.3, 0.925, 0.075, far, 1 - 2.0**-40, 2.0**-54, 1.0],  # central, tail, far, top
+            _uniform_chunk(np.random.Philox(key=5), 70_000),
+        ])
+        out = np.full(u.size, np.nan)
+        assert ndtri(u, out=out) is out
+        assert out.tobytes() == ndtri(u).tobytes()
+        assert np.isfinite(out).all() and out[4] < -7.3 and out[7] > 8.29
+        # a shard's non-contiguous column pick, into rows of a wider buffer
+        grid = u[: 300 * 70].reshape(300, 70)
+        keep = np.r_[3:40, 60:70]
+        buf = np.full((310, keep.size), np.nan)
+        ndtri(grid[:, keep], out=buf[5:305])
+        assert buf[5:305].tobytes() == ndtri(grid[:, keep]).tobytes()
+        assert np.isnan(buf[:5]).all() and np.isnan(buf[305:]).all()
+        # out keeps its own shape; only the size has to match
+        flat = np.empty(grid.size)
+        assert ndtri(grid, out=flat).tobytes() == ndtri(grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty(99),  # wrong size
+            np.empty(101),
+            np.empty(100, dtype=np.float32),  # wrong dtype
+            np.empty(100, dtype=">f8"),
+            np.empty((100, 2))[:, 0],  # not C-contiguous
+            np.empty((10, 20))[:, :10],
+            np.empty((10, 10), order="F"),
+            [0.0] * 100,  # not an array
+        ],
+    )
+    def test_out_must_fit(self, out):
+        u = _uniform_chunk(np.random.Philox(key=6), 100)
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            ndtri(u, out=out)
+
 
 class TestBlockEngine:
     """Contracts of the block-Toeplitz engine: 64-row blocks aligned to
@@ -312,7 +352,7 @@ class TestBlockEngine:
         n, m = 332, 200  # 5 blocks of 64 and a tail of 12, in 256-row batches
         fact = random_factorization(np.random.default_rng(47), degree, 64)
         cfg = NoiseStreamConfig(fact, n, m, seed=53, zeta=zeta, output_kind=PREFIX)
-        chunks = list(_noise_chunks(cfg))
+        chunks = [(s, blk.copy()) for s, blk in _noise_chunks(cfg)]
         starts = list(range(0, n, _batch_rows(m)))
         assert len(starts) > 1 and [s for s, _ in chunks] == starts
         a = np.vstack([blk for _, blk in chunks])
@@ -385,11 +425,42 @@ class TestPipeline:
         fact = random_factorization(np.random.default_rng(97), 3, 64)
         cfg = NoiseStreamConfig(fact, n, m, seed=101, zeta=1.5, output_kind=kind)
         assert n % _batch_rows(m)
-        got = list(_noise_chunks(cfg, columns))
-        want = list(serial_noise_chunks(cfg, columns))
-        assert [s for s, _ in got] == [s for s, _ in want] == list(range(0, n, _batch_rows(m)))
-        for (_, a), (_, b) in zip(got, want):
+        starts = []
+        # in lockstep: an engine batch is valid until the next one is requested
+        for (s, a), (t, b) in zip(_noise_chunks(cfg, columns), serial_noise_chunks(cfg, columns)):
+            starts.append((s, t))
             assert a.tobytes() == b.tobytes()
+        assert starts == [(s, s) for s in range(0, n, _batch_rows(m))]
+
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    def test_rows_outlive_the_batch_buffers(self, kind):
+        fact = random_factorization(np.random.default_rng(109), 3, 64)
+        cfg = NoiseStreamConfig(fact, 4 * 256 + 7, 130, seed=113, zeta=1.0, output_kind=kind)
+        it = noise_stream(cfg)
+        kept = [next(it) for _ in range(256)]  # batch 0
+        assert sum(1 for _ in it) == cfg.n - 256  # four more batches
+        fresh = noise_stream(cfg)
+        for row in kept:
+            assert row.tobytes() == next(fresh).tobytes()
+
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    def test_memory_holds_two_batches_whatever_n(self, kind):
+        m = 1000
+        batch = _batch_rows(m)
+        fact = random_factorization(np.random.default_rng(127), 5, 64)
+        peaks = []
+        for batches in (12, 48):
+            cfg = NoiseStreamConfig(fact, batches * batch, m, seed=131, zeta=1.0, output_kind=kind)
+            cfg.sigma  # computed before tracing: the engine's memory is measured
+            tracemalloc.start()
+            try:
+                for _ in _noise_chunks(cfg):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert batch == 256 and max(peaks) < 4 * batch * m * 8, peaks
+        assert peaks[1] - peaks[0] < 2**20, peaks
 
     @staticmethod
     def _cfg(zeta=1.0):
@@ -428,11 +499,11 @@ class TestPipeline:
     def test_worker_error_reaches_the_consumer(self, monkeypatch):
         calls = []
 
-        def ndtri_failing_second(u):
+        def ndtri_failing_second(u, out=None):
             calls.append(threading.current_thread().name)
             if len(calls) == 2:
                 raise RuntimeError("draw failed")
-            return ndtri(u)
+            return ndtri(u, out=out)
 
         monkeypatch.setattr(streaming, "ndtri", ndtri_failing_second)
         before = threading.active_count()
