@@ -16,6 +16,7 @@ import numpy as np
 from .error_eval import (
     MECH_CSV_HEADER,
     bounds_csv,
+    bounds_row,
     max_err,
     rownorm_of,
     sensitivity_of,
@@ -28,7 +29,7 @@ from .params import (
     save_factorization,
 )
 from .rational import ra_blt_build
-from .recursive import comb_dense, comc_dense, recursive_norms
+from .recursive import _draws, comb_dense, comc_dense, recursive_norms
 from .seq import MATRIX_CAP, ltt_apply_dense, ltt_dense, series_reciprocal
 from .streaming import (
     PER_STEP,
@@ -201,12 +202,8 @@ def _cmd_compare(args) -> int:
 
     def add_row(meth, d, n, fact):
         rep = max_err(fact, n)
-        b = rep.bounds
-        lines.append(
-            f"{meth},{d},{n},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
-            f"{b['matousek_lb']:.12g},{b['bintree']:.12g},{rep.max_err:.12g},"
-            f"{rep.max_err / b['opt_lt_toe']:.12g}"
-        )
+        ratio = rep.max_err / rep.bounds["opt_lt_toe"]
+        lines.append(f"{meth},{d},{bounds_row(n, rep.bounds)},{rep.max_err:.12g},{ratio:.12g}")
 
     for meth in methods:
         if meth == "ra":
@@ -238,7 +235,7 @@ def _cmd_recursive(args) -> int:
     rn1 = rownorm_of(fact, n1)
     sens, rn_bound = recursive_norms(sens1, rn1, levels)
     n_total = n1**levels
-    n_prime = n1 * (n1**levels - 1) // (n1 - 1) if n1 > 1 else levels
+    n_prime = _draws(n1, levels)
     out = {
         "base": args.base,
         "n1": n1,

@@ -211,12 +211,15 @@ BOUNDS_CSV_HEADER = "n,opt_lt_toe,mathias_ub,matousek_lb,bintree"
 MECH_CSV_HEADER = BOUNDS_CSV_HEADER + ",mechanism_maxerr,ratio"
 
 
+def bounds_row(n: int, b: dict) -> str:
+    """The ``BOUNDS_CSV_HEADER`` fields of ``n`` and its ``bounds_table`` ``b``."""
+    return (
+        f"{n},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
+        f"{b['matousek_lb']:.12g},{b['bintree']:.12g}"
+    )
+
+
 def bounds_csv(ns) -> str:
     lines = [BOUNDS_CSV_HEADER]
-    for n in ns:
-        b = bounds_table(int(n))
-        lines.append(
-            f"{int(n)},{b['opt_lt_toe']:.12g},{b['mathias_ub']:.12g},"
-            f"{b['matousek_lb']:.12g},{b['bintree']:.12g}"
-        )
+    lines += (bounds_row(int(n), bounds_table(int(n))) for n in ns)
     return "\n".join(lines) + "\n"

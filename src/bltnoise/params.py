@@ -31,6 +31,10 @@ _LOGSPACE_DEGREE = 32
 
 _COEFF_CHUNK = 1 << 16
 
+# The largest horizon n: evaluators size arrays by n, and an array dimension
+# must fit a signed 64-bit index.
+_N_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class RationalBlt:
@@ -152,8 +156,8 @@ class BltFactorization:
             if np.unique(arr).size != arr.size:
                 raise ValueError(f"{name} entries must be pairwise distinct")
         n = self.n
-        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 1 <= n <= _N_MAX):
+            raise ValueError(f"n must be a positive integer <= 2**63 - 1, got {n!r}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         self.theta = theta
@@ -241,8 +245,8 @@ def load_factorization(path) -> BltFactorization:
     meta, n, degree = payload["meta"], payload["n"], payload["degree"]
     if not isinstance(meta, dict):
         raise malformed(f"meta must be a JSON object, got {meta!r}")
-    if not (_is_int(n) and n >= 1):
-        raise malformed(f"n must be a positive integer, got {n!r}")
+    if not (_is_int(n) and 1 <= n <= _N_MAX):
+        raise malformed(f"n must be a positive integer <= 2**63 - 1, got {n!r}")
     if not (_is_int(degree) and degree >= 0):
         raise malformed(f"degree must be a non-negative integer, got {degree!r}")
     for key in ("theta", "theta_hat"):

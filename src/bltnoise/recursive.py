@@ -66,11 +66,8 @@ def recursive_norms(base_sens: float, base_rownorm: float, levels: int):
 
 def _draws(n1: int, level: int) -> int:
     """Noise rows a level block reads, its trailing carries included:
-    cnt(1) = n1 and cnt(l) = n1 * (cnt(l - 1) + 1)."""
-    count = n1
-    for _ in range(level - 1):
-        count = n1 * (count + 1)
-    return count
+    cnt(1) = n1 and cnt(l) = n1 * (cnt(l - 1) + 1), so cnt(l) = n1 + ... + n1^l."""
+    return n1 * (n1**level - 1) // (n1 - 1) if n1 > 1 else level
 
 
 def _block_level(n1: int, levels: int, m: int) -> int:

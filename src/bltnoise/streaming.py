@@ -15,18 +15,20 @@ where T is the L x L lower-triangular Toeplitz matrix of r, P[i,k] =
 theta_k^{i+1} and Q[k,j] = v_k theta_k^{L-1-j}.  Blocks are aligned to
 absolute row indices and batched about ``_TILE_VALUES`` values per column
 tile at a time (32768 rows at m = 1, 256 at m >= 128), so every row costs a
-few GEMM rows and the live state is the d x m buffer plus two batches.  Prefix-sum
-noise (B z, with b(x) = r(x)/(1-x)) is the running sum of the per-step rows,
-kept in one extra width-m buffer rather than folding a pole at 1 into the
-factorization.
+few GEMM rows.  One generator, ``_noise_chunks``, runs the stream; its live
+state is one d x m array S, each column tile filtered against its own columns
+of S, plus two batches.  Prefix-sum noise (B z, with b(x) = r(x)/(1-x)) is
+the running sum of the per-step rows, kept in one extra width-m buffer rather
+than folding a pole at 1 into the factorization.
 
 Noise values are reproducible by construction: a Philox counter RNG keyed by
 the seed produces one uint64 per value in row-major order, mapped through the
 inverse normal CDF ``ndtri`` (AS 241, in numpy, so the package needs no
 scipy).  The GEMMs run on column tiles of fixed width, aligned to
 absolute column indices.  A column shard regenerates the full-width uniform
-draws, computes the tiles that cover its columns and slices them, so a
-sharded run is bitwise identical to slicing an unsharded run.
+draws, computes the tiles that cover its columns against a state as wide
+as those tiles and slices them, so a sharded run is bitwise identical to
+slicing an unsharded run.
 
 Two threads share each stream, and two normals buffers allocated once per
 stream take turns between them.  A worker thread draws the next batch's
@@ -332,31 +334,33 @@ class _Draw(threading.Thread):
         return self._out
 
 
-def _engine_rows(cfg: NoiseStreamConfig, columns):
-    """Yield (start_row, rows) batches of ``_batch_rows(cfg.m)`` per-step rows
-    of ``columns``; the last batch may be shorter.
+def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
+    """Yield the stream as (start_row, rows) batches of ``_batch_rows(cfg.m)``
+    rows of ``columns``; the last batch may be shorter.
 
-    The batches live in two normals buffers allocated once per stream, which
-    take turns.  The worker thread owns one while it draws a batch into it:
+    This one generator runs the stream, and its state is one d x width array:
+    width is m, or for a shard the columns of the tiles that cover it.  The
+    batches live in two normals buffers allocated once per stream, which take
+    turns.  The worker thread owns one while it draws a batch into it:
     full-width uniforms, a chunk of rows at a time through the uniforms
-    buffer (also allocated once, and only the worker's), the computed tiles'
+    buffer (also allocated once, and only the worker's), the computed
     columns through ``ndtri``, times sigma.  The calling thread owns the
-    other: the kernel filters every tile in place, and the buffer (or, for a
-    shard, the requested columns copied out of it) is yielded.  A yielded
-    batch is valid until the next one is requested, when the worker starts
-    drawing into its buffer.  One draw is in flight at a time, and the draws
-    run in order, so the values do not depend on scheduling.
+    other: the kernel filters each column tile in place against its columns
+    of the state, a shard's requested columns are copied out, prefix noise
+    adds the running sum of the per-step rows in place, and the batch is
+    yielded.  A yielded batch is valid until the next one is requested, when
+    the worker starts drawing into its buffer; a consumer that keeps one
+    copies it.  One draw is in flight at a time, and the draws run in order,
+    so the values do not depend on scheduling.
     """
     r = cfg.factorization.rational()
     theta, v = r.theta, r.omega / r.theta
-    d = theta.size
     T = ltt_dense(blt_coeffs(r, _BLOCK))
     powers = theta ** np.arange(_BLOCK + 1)[:, None]  # powers[i, k] = theta_k^i
     P, decay = powers[1:], powers[_BLOCK]
     Q = (v * powers[_BLOCK - 1 :: -1]).T
-    if columns is None:
-        tiles, keep, sel = range(0, cfg.m, _TILE), None, None
-    else:
+    keep = sel = None
+    if columns is not None:
         cols = np.asarray(columns, dtype=np.intp)
         if cols.size and (cols.min() < 0 or cols.max() >= cfg.m):
             raise ValueError("column indices out of range")
@@ -365,9 +369,6 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
         keep = (tiles[:, None] + np.arange(_TILE)).ravel()
         keep = keep[keep < cfg.m]
         sel = np.searchsorted(keep, cols)
-    # tile i fills batch columns i*_TILE on; only the last tile can be narrower
-    parts = [slice(i * _TILE, (i + 1) * _TILE) for i in range(len(tiles))]
-    states = [np.zeros((d, min(_TILE, cfg.m - c0))) for c0 in tiles]
     width = cfg.m if keep is None else keep.size
     sigma = cfg.sigma
     batch = _batch_rows(cfg.m)
@@ -376,6 +377,7 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
             y = np.zeros((min(batch, cfg.n - start), width))
             yield start, (y if sel is None else y[:, sel])
         return
+    S = np.zeros((theta.size, width))
     bitgen = np.random.Philox(key=int(cfg.seed))
     buffers = np.empty((2, min(batch, cfg.n), width))
     # the worker's uniforms: about 4 * _TILE_VALUES values, in whole rows
@@ -389,34 +391,25 @@ def _engine_rows(cfg: NoiseStreamConfig, columns):
         out = buffers[start // batch % 2, :rows]
         return _Draw(bitgen, rows, cfg.m, keep, sigma, out, chunk)
 
+    prefix = 0.0
     pending = draw(0)
     try:
         for start in range(0, cfg.n, batch):
             y = pending.result()
             pending = draw(start + batch)
-            for part, S in zip(parts, states):
-                lfilter(T, P, Q, decay, y[:, part], S)
-            yield start, (y if sel is None else y[:, sel])
+            # tile c fills columns c on of the batch and of S; only the last can be narrower
+            for c in range(0, width, _TILE):
+                lfilter(T, P, Q, decay, y[:, c : c + _TILE], S[:, c : c + _TILE])
+            if sel is not None:
+                y = y[:, sel]
+            if cfg.output_kind == PREFIX:
+                y[0] += prefix
+                np.cumsum(y, axis=0, out=y)
+                prefix = y[-1].copy()
+            yield start, y
     finally:
         if pending is not None:
             pending.join()
-
-
-def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
-    """Yield the stream as the block engine's (start_row, rows) batches of
-    ``_batch_rows(cfg.m)`` rows; prefix noise adds the running sum of the
-    per-step rows, in place.
-
-    A batch is the engine's buffer, valid until the next one is requested;
-    a consumer that keeps one copies it.
-    """
-    prefix = 0.0
-    for start, y in _engine_rows(cfg, columns):
-        if cfg.output_kind == PREFIX:
-            y[0] += prefix
-            np.cumsum(y, axis=0, out=y)
-            prefix = y[-1].copy()
-        yield start, y
 
 
 def noise_stream(cfg: NoiseStreamConfig, columns=None):

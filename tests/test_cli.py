@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import bltnoise
 from bltnoise import cli
 from bltnoise.cli import main
-from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
+from bltnoise.error_eval import bounds_csv, max_err, opt_lt_toe, sensitivity_of
 from bltnoise.optimizer import OptConfig, optimize_blt
 from bltnoise.params import load_factorization
 
@@ -432,6 +433,9 @@ class TestCompare:
             assert float(r[8]) == pytest.approx(float(r[7]) / float(r[3]), rel=1e-9)
         d1 = [r for r in rows if r[0] == "degree1"]
         assert {r[2] for r in d1} == {"100", "1000"}
+        # the bounds fields are the `blt bounds` rows, character for character
+        bounds = bounds_csv([100, 1000]).splitlines()[1:]
+        assert {",".join(r[2:7]) for r in rows} == set(bounds)
 
     def test_opt_row_is_eval_of_optimized_factorization(self, capsys):
         code, out, _ = run(
@@ -483,6 +487,17 @@ class TestRecursive:
         fact = load_factorization(base)
         want = np.sqrt(3.0) * sensitivity_of(fact, 8)
         assert rep["sensitivity"] == pytest.approx(want, rel=1e-12)
+
+    def test_one_step_base_draws_one_row_per_level(self, capsys, tmp_path):
+        base = str(tmp_path / "ra3.json")
+        assert main(["build", "--method", "ra", "--degree", "3", "--steps", "1", "--out", base]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "recursive", "--base", base, "--levels", "3")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["n1"] == 1 and rep["n"] == 1
+        assert rep["n_prime"] == 3
+        assert rep["status"] == "ok"
 
     def test_dense_cap_skips_check(self, capsys, tmp_path):
         # n_total = 4096 fits, but the stacked C factor has 4368 rows
@@ -542,9 +557,16 @@ class TestUsageErrors:
         assert main(["optimize", "--degree", "1", "--steps", "8", "--seed", "0", "--out", "x"]) == 1
 
 
+def _cap_address_space():
+    """Cap a child's address space, so that a size that should fail at once
+    and does not fails fast instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
 class TestMalformedInputs:
     """Bad files and values exit with one ``error:`` line that names the
-    field, never a traceback; run as a fresh interpreter, as a user runs it."""
+    field, never a traceback; run as a fresh interpreter, as a user runs it,
+    under a 4 GiB address-space cap."""
 
     @pytest.mark.parametrize(
         "argv, edit, code, named",
@@ -570,6 +592,10 @@ class TestMalformedInputs:
             (["verify", "--steps", "20000", "--dim", "1"], None, 2, "--steps"),
             (["noisegen", "--steps", "abc", "--dim", "2"], None, 1, "--steps"),
             (["eval", "--steps"], None, 1, "--steps"),
+            # an n that no array dimension can hold
+            (["eval"], lambda p: {**p, "n": 10**30}, 2, "n must"),
+            # a (5, 10**15) state array for the noise engine: fails at once too
+            (["noisegen", "--steps", "10", "--dim", str(10**15), "--format", "f64"], None, 2, "Unable to allocate"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):
@@ -587,6 +613,7 @@ class TestMalformedInputs:
             text=True,
             env=env,
             timeout=60,
+            preexec_fn=_cap_address_space,
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr

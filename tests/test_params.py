@@ -163,6 +163,11 @@ class TestBltFactorization:
         with pytest.raises(ValueError, match="n must be"):
             BltFactorization([0.5], [0.75], True)
 
+    def test_n_must_fit_an_array_dimension(self):
+        assert BltFactorization([0.5], [0.75], 2**63 - 1).n == 2**63 - 1
+        with pytest.raises(ValueError, match="n must be"):
+            BltFactorization([0.5], [0.75], 2**63)
+
     def test_omega_from_roots(self):
         fact = BltFactorization([0.5], [0.25], 8)
         np.testing.assert_allclose(fact.omega, [0.25])
