@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_eval import matousek_lb, max_err, opt_lt_toe, rownorm_closed, sensitivity_closed
+from .error_eval import max_err, rownorm_closed, sensitivity_closed
 from .params import BltFactorization, blt_coeffs, residues_from_roots
 from .seq import ltt_dense, series_reciprocal
 
@@ -53,6 +53,8 @@ class OptConfig:
             raise ValueError("degree must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -269,14 +271,14 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         meta={"n_target": n, "iterations": iterations, "stop_reason": stop_reason},
     )
     # the evaluator of `blt eval`, so a saved file reports the same ratio
-    final_max_err = max_err(fact, n).max_err
-    fact.meta["final_ratio"] = final_max_err / opt_lt_toe(n)
+    rep = max_err(fact, n)
+    fact.meta["final_ratio"] = rep.max_err / rep.bounds["opt_lt_toe"]
     _validity_recheck(fact, min(n, 64))
-    if final_max_err < matousek_lb(n) - 1e-9:
+    if rep.max_err < rep.bounds["matousek_lb"] - 1e-9:
         raise RuntimeError("MaxErr below the lower bound; evaluation is inconsistent")
     return OptResult(
         factorization=fact,
-        final_max_err=float(final_max_err),
+        final_max_err=float(rep.max_err),
         iterations=iterations,
         stop_reason=stop_reason,
         trace=trace,

@@ -161,6 +161,8 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
 
     def rows():
         b = np.asarray(base_factory(n1), dtype=np.float64)
+        if b.shape != (n1,) or not np.isfinite(b).all():
+            raise ValueError(f"base column must be {n1} finite values, got shape {b.shape}")
         B1 = ltt_dense(b)
 
         def block(level, offset):

@@ -38,15 +38,16 @@ batch's normals in place and the consumer takes the buffer.  A batch is valid
 until the next one is requested, when the worker starts drawing into its
 buffer; ``noise_stream`` copies each batch, so the rows it yields stay valid.
 One draw is in flight at a time and only the worker touches the generator,
-in batch order, so the values do not depend on scheduling.  A zero sigma
-draws nothing and starts no thread.
+in batch order, so the values do not depend on scheduling.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -372,11 +373,6 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     width = cfg.m if keep is None else keep.size
     sigma = cfg.sigma
     batch = _batch_rows(cfg.m)
-    if sigma == 0.0:
-        for start in range(0, cfg.n, batch):
-            y = np.zeros((min(batch, cfg.n - start), width))
-            yield start, (y if sel is None else y[:, sel])
-        return
     S = np.zeros((theta.size, width))
     bitgen = np.random.Philox(key=int(cfg.seed))
     buffers = np.empty((2, min(batch, cfg.n), width))
@@ -425,11 +421,11 @@ def noise_stream(cfg: NoiseStreamConfig, columns=None):
 
 def write_noise_csv(cfg: NoiseStreamConfig, path) -> None:
     """Write the stream as CSV with header step,dim0,...,dim{m-1}."""
-    header = "step," + ",".join(f"dim{j}" for j in range(cfg.m))
-    line = "%d," + ",".join(["%.17g"] * cfg.m) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start, block in _noise_chunks(cfg):
+    with open(path, "w") as fh, closing(_noise_chunks(cfg)) as chunks:
+        first = next(chunks)  # before the m-wide header: a width too large to allocate fails here
+        fh.write("step," + ",".join(f"dim{j}" for j in range(cfg.m)) + "\n")
+        line = "%d," + ",".join(["%.17g"] * cfg.m) + "\n"
+        for start, block in itertools.chain([first], chunks):
             for i, row in enumerate(block.tolist(), start):
                 fh.write(line % (i, *row))
 

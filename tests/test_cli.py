@@ -483,7 +483,7 @@ class TestRecursive:
         assert rep["n_prime"] == 8 * 511 // 7
         assert rep["status"] == "ok"
         assert rep["max_abs_deviation"] <= 1e-8
-        assert rep["checked_steps"] == 64
+        assert rep["checked_steps"] == rep["n"]
         fact = load_factorization(base)
         want = np.sqrt(3.0) * sensitivity_of(fact, 8)
         assert rep["sensitivity"] == pytest.approx(want, rel=1e-12)
@@ -596,6 +596,12 @@ class TestMalformedInputs:
             (["eval"], lambda p: {**p, "n": 10**30}, 2, "n must"),
             # a (5, 10**15) state array for the noise engine: fails at once too
             (["noisegen", "--steps", "10", "--dim", str(10**15), "--format", "f64"], None, 2, "Unable to allocate"),
+            # csv too: the engine allocates before the m-wide header is built
+            (["noisegen", "--steps", "10", "--dim", str(10**15)], None, 2, "Unable to allocate"),
+            (["verify", "--steps", "8", "--dim", "1", "--tol", "-1"], None, 2, "--tol"),
+            (["verify", "--steps", "8", "--dim", "1", "--tol", "nan"], None, 2, "--tol"),
+            (["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0"], None, 2, "max_iters"),
+            (["optimize", "--degree", "2", "--steps", "100", "--max-iters", "-3"], None, 2, "max_iters"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):
@@ -603,7 +609,10 @@ class TestMalformedInputs:
         assert main(["build", "--method", "ra", "--degree", "5", "--steps", "1000", "--out", str(path)]) == 0
         if edit is not None:
             path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        argv = [argv[0], "--blt", str(path), *argv[1:]]
+        if argv[0] == "optimize":
+            argv += ["--out", str(tmp_path / "opt.json")]
+        else:
+            argv = [argv[0], "--blt", str(path), *argv[1:]]
         if argv[0] == "noisegen":
             argv += ["--out", str(tmp_path / "noise.csv")]
         env = {**os.environ, "PYTHONPATH": str(Path(bltnoise.__file__).parents[1])}

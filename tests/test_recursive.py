@@ -339,6 +339,11 @@ class TestBatchedBlocks:
         with pytest.raises(RuntimeError, match="exhausted"):
             self.stream(fact, n1, levels, m, z[: len(z) - levels])
 
+    @pytest.mark.parametrize("column", [np.ones(3), np.ones((4, 1)), [1.0, np.nan, 1.0, 1.0]])
+    def test_bad_base_column_rejected(self, column):
+        with pytest.raises(ValueError, match="base column must be 4 finite values"):
+            next(recursive_stream(lambda n1: column, 4, 2, 2, np.zeros((20, 2))))
+
     @pytest.mark.parametrize("shape", [(39,), (39, 3), (39, 2, 1)])
     def test_bad_array_shape_rejected(self, shape):
         fact = random_factorization(np.random.default_rng(23), 1, n=3)

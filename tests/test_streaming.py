@@ -463,9 +463,9 @@ class TestPipeline:
         assert peaks[1] - peaks[0] < 2**20, peaks
 
     @staticmethod
-    def _cfg(zeta=1.0):
+    def _cfg():
         fact = random_factorization(np.random.default_rng(103), 2, 64)
-        return NoiseStreamConfig(fact, 1000, 200, seed=107, zeta=zeta)  # four batches
+        return NoiseStreamConfig(fact, 1000, 200, seed=107, zeta=1.0)  # four batches
 
     def test_one_draw_in_flight_and_joined_on_close(self, monkeypatch):
         lock, go = threading.Lock(), threading.Event()
@@ -514,19 +514,17 @@ class TestPipeline:
         assert threading.active_count() == before
         assert calls[1] != threading.current_thread().name
 
-    def test_zeta_zero_starts_no_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def recorded_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recorded_start)
-        rows = list(noise_stream(self._cfg(zeta=0.0)))
-        assert len(rows) == 1000 and not np.any(rows) and started == []
-        list(noise_stream(self._cfg()))
-        assert started
+    @pytest.mark.parametrize("degree", [0, 2])
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    def test_zeta_zero_gives_positive_zeros(self, kind, degree):
+        """A zero sigma runs the general engine: normals times 0 are +-0.0, and
+        adding the state term turns each -0.0 into +0.0, the bytes of np.zeros."""
+        fact = random_factorization(np.random.default_rng(103), degree, 64)
+        cfg = NoiseStreamConfig(fact, 1000, 200, seed=107, zeta=0.0, output_kind=kind)
+        for columns in (None, [3, 127, 128, 199]):  # full width, and a shard across a tile edge
+            rows = np.vstack(list(noise_stream(cfg, columns=columns)))
+            assert rows.shape == (1000, 200 if columns is None else 4)
+            assert not rows.any() and not np.signbit(rows).any()
 
 
 class TestWriters:
