@@ -24,6 +24,7 @@ from .error_eval import (
 )
 from .optimizer import OptConfig, optimize_blt
 from .params import (
+    _N_MAX,
     blt_coeffs,
     degree1_closed_form,
     load_factorization,
@@ -68,15 +69,20 @@ def _str_list(text: str):
     return vals
 
 
+def _check_horizon(flag: str, n: int) -> None:
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"{flag} must be in [1, {_N_MAX}], got {n}")
+
+
 def _cmd_bounds(args) -> int:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
+    _check_horizon("--n-max", args.n_max)
     if args.log_grid < 0:
         raise ValueError("--log-grid must be >= 0")
     if args.log_grid:
-        ns = np.unique(
-            np.clip(np.round(np.geomspace(1, args.n_max, args.log_grid)), 1, args.n_max)
-        ).astype(int)
+        # rounded in float, clipped as Python ints: near 2**63 the float of
+        # n_max exceeds any int64
+        grid = np.round(np.geomspace(1, args.n_max, args.log_grid))
+        ns = sorted({min(max(int(x), 1), args.n_max) for x in grid})
     else:
         ns = np.arange(1, args.n_max + 1)
     sys.stdout.write(bounds_csv(ns))
@@ -123,6 +129,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.steps is not None:
+        _check_horizon("--steps", args.steps)
     fact = load_factorization(args.blt)
     n = args.steps if args.steps is not None else fact.n
     rep = max_err(fact, n)
@@ -234,6 +242,9 @@ def _cmd_recursive(args) -> int:
     if levels < 1:
         raise ValueError("--levels must be >= 1")
     n1 = fact.n
+    # n1 >= 2 reaches 2**63 within 63 levels; the bound skips a huge power
+    if n1 > 1 and (levels > 63 or n1**levels > _N_MAX):
+        raise ValueError(f"--levels {levels}: the horizon {n1}**{levels} exceeds {_N_MAX}")
     sens1 = sensitivity_of(fact, n1)
     rn1 = rownorm_of(fact, n1)
     sens, rn_bound = recursive_norms(sens1, rn1, levels)

@@ -9,10 +9,16 @@ doubling in O(d^3 log n) (``geometric_prefix``).  Both evaluators batch over
 leading axes and never conjugate, so complex parameters carry the exact
 derivatives the optimizer's complex-step gradient reads, and ``blt eval``
 scores a factorization with the same arithmetic as the optimizer.
+
+The reference bounds of every report (``opt_lt_toe``, ``mathias_ub``,
+``matousek_lb``, ``bintree``) cost O(1) time and memory at any n: exact
+float sums up to ``_EXACT_MAX``, asymptotic expansions within a few ulp of
+40-digit values above it, so a report at n = 2^62 allocates nothing of size n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,33 +166,72 @@ def max_err(fact: BltFactorization, n: int | None = None) -> MaxErrReport:
 
 
 # --- reference bounds ---------------------------------------------------------
+#
+# Each bound is an exact O(n) sum up to _EXACT_MAX and an asymptotic expansion
+# above it, so one value costs O(1) time and memory at any n.  The expansions'
+# first omitted terms are below 1e-24 relative at n > _EXACT_MAX.
 
-_f2_cumsum = np.ones(1)
+_EXACT_MAX = 4096
+
+# opt_lt_toe is the Landau constant G_{n-1} (Watson 1930, "The constants of
+# Landau and Lebesgue"): pi * G_{n-1} = ln n + gamma + 4 ln 2 + sum_j a_j n^-j.
+_LANDAU_CONST = EULER_GAMMA + 4.0 * math.log(2.0)
+_LANDAU_A = (-1 / 4, 5 / 192, 3 / 128, -341 / 122880, -75 / 8192, 7615 / 8257536)
+
+# Both sine bounds use the midpoint sum T(N) = sum_{j=1}^N csc(pi (2j-1) / (2N)),
+# T(N) / N = (2/pi)(ln(8N/pi) + gamma) + sum_k c_k N^-2k, where T(N) is
+# S(2N) - S(N) for the cosecant sum S(N) = sum_{k<N} csc(k pi / N), so
+# c_k = (2^(1-2k) - 1) (-1)^k B_2k^2 (2^2k - 2) pi^(2k-1) / (k (2k)!).
+# _CSC_HALF holds c_k / 2 for k = 1..3.
+_CSC_CONST = math.log(8.0 / math.pi) + EULER_GAMMA
+_CSC_HALF = (math.pi / 144, -49 * math.pi**3 / 345600, 961 * math.pi**5 / 121927680)
+
+
+def _poly(coeffs, x: float) -> float:
+    """``sum_j coeffs[j] x^(j+1)`` by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * x
+    return acc
+
+
+def _csc_half_mean(N: int) -> float:
+    """``T(N) / (2N)`` for ``N > _EXACT_MAX``, from the expansion of T."""
+    return (math.log(N) + _CSC_CONST) / math.pi + _poly(_CSC_HALF, 1.0 / (N * N))
 
 
 def opt_lt_toe(n: int) -> float:
-    """Optimal Toeplitz MaxErr ``1 + sum_{k=1}^{n-1} f_k^2`` (cached prefix sums)."""
-    global _f2_cumsum
+    """Optimal Toeplitz MaxErr ``sum_{k<n} f_k^2``, O(1) at any n.
+
+    ``f`` are the coefficients of ``1/sqrt(1-x)``.  Summed exactly up to
+    ``_EXACT_MAX``; above it, the Landau-constant expansion.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _f2_cumsum.size:
-        f = optimal_coeffs(max(n, 2 * _f2_cumsum.size)).coeffs
-        _f2_cumsum = np.cumsum(f * f)
-    return float(_f2_cumsum[n - 1])
+    if n <= _EXACT_MAX:
+        f = optimal_coeffs(n).coeffs
+        return float(np.cumsum(f * f)[-1])
+    return (math.log(n) + _LANDAU_CONST + _poly(_LANDAU_A, 1.0 / n)) / math.pi
 
 
 def mathias_ub(n: int) -> float:
-    """Upper bound on the general (non-Toeplitz) optimum via the sine sum."""
+    """Upper bound on the general (non-Toeplitz) optimum, ``1/2 + T(n) / (2n)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _EXACT_MAX:
+        return 0.5 + _csc_half_mean(n)
     j = np.arange(1, n + 1)
     return float(0.5 + np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (2 * n))) / (2 * n))
 
 
 def matousek_lb(n: int) -> float:
-    """Lower bound on any factorization's MaxErr (full sine-sum form)."""
+    """Lower bound on any factorization's MaxErr, ``(T(2n+1) - 1) / (4n)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _EXACT_MAX:
+        # T(N) = 2N h with N = 2n + 1, so (T(N) - 1) / (4n) = h + (2h - 1) / (4n)
+        h = _csc_half_mean(2 * n + 1)
+        return h + (2.0 * h - 1.0) / (4 * n)
     j = np.arange(1, n + 1)
     return float(np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (4 * n + 2))) / (2 * n))
 

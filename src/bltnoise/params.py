@@ -31,8 +31,8 @@ _LOGSPACE_DEGREE = 32
 
 _COEFF_CHUNK = 1 << 16
 
-# The largest horizon n: evaluators size arrays by n, and an array dimension
-# must fit a signed 64-bit index.
+# The largest horizon n: stream row indices and array dimensions must fit a
+# signed 64-bit integer.
 _N_MAX = 2**63 - 1
 
 

@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from bltnoise import streaming
 from bltnoise.params import BltFactorization, RationalBlt, blt_coeffs
-from bltnoise.seq import ToeplitzSeq, ltt_dense
+from bltnoise.seq import ToeplitzSeq, ltt_dense, optimal_coeffs
 from bltnoise.streaming import _uniform_chunk
 
 
@@ -126,6 +126,46 @@ def mp_rownorm(omega, theta, n, dps=50):
             + mpmath.fsum(w[j] * w[k] * g2(t[j], t[k]) for j in range(d) for k in range(d))
         )
         return float(mpmath.sqrt(total))
+
+
+def opt_lt_toe_direct(n):
+    """O(n) oracle of ``opt_lt_toe``: the float prefix sum ``sum_{k<n} f_k^2``
+    of the optimal coefficients at any n, bitwise equal to ``opt_lt_toe`` up
+    to ``_EXACT_MAX``."""
+    f = optimal_coeffs(n).coeffs
+    return float(np.cumsum(f * f)[n - 1])
+
+
+def mathias_ub_direct(n):
+    """O(n) oracle of ``mathias_ub``: ``1/2 + T(n) / (2n)`` as a float sum of
+    the midpoint cosecants ``T(N) = sum_{j=1}^N csc(pi (2j-1) / (2N))``."""
+    j = np.arange(1, n + 1)
+    return float(0.5 + np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (2 * n))) / (2 * n))
+
+
+def matousek_lb_direct(n):
+    """O(n) oracle of ``matousek_lb``: the float sum of the first n of the
+    ``2n + 1`` midpoint cosecants, ``(T(2n+1) - 1) / (4n)`` by symmetry."""
+    j = np.arange(1, n + 1)
+    return float(np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (4 * n + 2))) / (2 * n))
+
+
+def mp_opt_lt_toe(n, dps=45):
+    """``sum_{k<n} f_k^2`` summed term by term in mpmath, O(n)."""
+    with mpmath.workdps(dps):
+        f = s = mpmath.mpf(1)
+        for k in range(1, n):
+            f = f * (2 * k - 1) / (2 * k)
+            s += f * f
+        return s
+
+
+def mp_csc_sum(N, dps=45):
+    """The midpoint cosecant sum ``T(N)`` in mpmath, O(N): twice its first
+    half by the symmetry j <-> N + 1 - j, plus csc(pi/2) = 1 when N is odd."""
+    with mpmath.workdps(dps):
+        half = mpmath.fsum(mpmath.csc(mpmath.pi * (2 * j - 1) / (2 * N)) for j in range(1, N // 2 + 1))
+        return 2 * half + N % 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +564,10 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
+# the option that names the factorization file, for commands that read one
+_FILE_FLAG = {"eval": "--blt", "noisegen": "--blt", "verify": "--blt", "recursive": "--base"}
+
+
 class TestMalformedInputs:
     """Bad files and values exit with one ``error:`` line that names the
     field, never a traceback; run as a fresh interpreter, as a user runs it,
@@ -584,8 +589,8 @@ class TestMalformedInputs:
                 "degree must be >= 3",
             ),
             (["noisegen", "--steps", "5", "--dim", "2"], lambda p: {**p, "degree": 2.0}, 2, "degree must"),
-            # a 7 PiB array: the allocation fails at once on any machine
-            (["eval", "--steps", str(10**15)], None, 2, "Unable to allocate"),
+            # one past the largest horizon
+            (["eval", "--steps", str(2**63)], None, 2, "--steps"),
             (["noisegen", "--steps", "5", "--dim", "0"], None, 2, "m must"),
             (["noisegen", "--steps", "5", "--dim", "2", "--seed", "-1"], None, 2, "seed must"),
             (["noisegen", "--steps", "5", "--dim", "2", "--zeta", "nan"], None, 2, "zeta must"),
@@ -602,6 +607,9 @@ class TestMalformedInputs:
             (["verify", "--steps", "8", "--dim", "1", "--tol", "nan"], None, 2, "--tol"),
             (["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0"], None, 2, "max_iters"),
             (["optimize", "--degree", "2", "--steps", "100", "--max-iters", "-3"], None, 2, "max_iters"),
+            (["bounds", "--n-max", str(2**63), "--log-grid", "3"], None, 2, "--n-max"),
+            # a 1000-step base composed 7 times: a 10^21-step horizon
+            (["recursive", "--levels", "7"], None, 2, "--levels"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):
@@ -611,8 +619,8 @@ class TestMalformedInputs:
             path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         if argv[0] == "optimize":
             argv += ["--out", str(tmp_path / "opt.json")]
-        else:
-            argv = [argv[0], "--blt", str(path), *argv[1:]]
+        elif argv[0] in _FILE_FLAG:
+            argv = [argv[0], _FILE_FLAG[argv[0]], str(path), *argv[1:]]
         if argv[0] == "noisegen":
             argv += ["--out", str(tmp_path / "noise.csv")]
         env = {**os.environ, "PYTHONPATH": str(Path(bltnoise.__file__).parents[1])}
@@ -650,6 +658,44 @@ class TestMalformedInputs:
         assert main(["build", "--method", "degree1", "--steps", "8", "--out", str(path)]) == 0
         capsys.readouterr()
         assert run(capsys, "eval", "--blt", str(path)) == (2, "", line + "\n")
+
+
+class TestAnyHorizon:
+    """The reference bounds cost O(1) at any n: ``eval`` and ``bounds`` at
+    n = 2^62 run in a fresh interpreter under a 1 GiB address-space cap,
+    where any length-n array fails to allocate."""
+
+    @staticmethod
+    def _cap_1gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def test_eval_and_bounds_at_2_62(self, tmp_path):
+        path = tmp_path / "ra5.json"
+        assert main(["build", "--method", "ra", "--degree", "5", "--steps", "1000", "--out", str(path)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(bltnoise.__file__).parents[1])}
+        for argv in (
+            ["eval", "--blt", str(path), "--steps", str(2**62)],
+            ["bounds", "--n-max", str(2**62), "--log-grid", "40"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bltnoise.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+                preexec_fn=self._cap_1gib,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1].startswith(f"{2**62},")
+
+    def test_log_grid_keeps_both_ends_at_the_cap(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bounds", "--n-max", str(2**63 - 1), "--log-grid", "3")
+        assert code == 0, err
+        ns = [int(r[0]) for r in csv_rows(out)[1]]
+        assert ns == [1, 3037000500, 2**63 - 1]
 
 
 class TestInstalledEntryPoint:

@@ -8,15 +8,20 @@ poles next to 1, where the textbook geometric-sum ratio loses all digits.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bltnoise.error_eval import (
+    _CSC_HALF,
+    _EXACT_MAX,
+    _LANDAU_A,
     EULER_GAMMA,
     bounds_table,
     bounds_csv,
     BOUNDS_CSV_HEADER,
     geometric_prefix,
+    mathias_ub,
     matousek_lb,
     max_err,
     opt_lt_toe,
@@ -25,14 +30,19 @@ from bltnoise.error_eval import (
     sensitivity_closed,
     sensitivity_of,
 )
-from bltnoise.params import BltFactorization, blt_coeffs, degree1_closed_form
+from bltnoise.params import _N_MAX, BltFactorization, blt_coeffs, degree1_closed_form
 from bltnoise.rational import ra_blt_build
-from bltnoise.seq import series_reciprocal
+from bltnoise.seq import optimal_coeffs, series_reciprocal
 
 from helpers import (
+    mathias_ub_direct,
+    matousek_lb_direct,
+    mp_csc_sum,
+    mp_opt_lt_toe,
     mp_residues,
     mp_rownorm,
     mp_sensitivity,
+    opt_lt_toe_direct,
     optimized_d5,
     random_factorization,
     random_rational,
@@ -425,12 +435,15 @@ class TestBoundsTable:
 
     def test_gap_to_lower_bound(self):
         """Toeplitz optimum exceeds the general lower bound by at most 0.365."""
-        for n in list(range(1, 200)) + [500, 1000, 5000, 10000]:
+        large = [5000, 10000, 10**6, 10**9, 2**62, _N_MAX]
+        for n in list(range(1, 200)) + [500, 1000] + _AROUND + large:
             gap = opt_lt_toe(n) - matousek_lb(n)
             assert -1e-12 <= gap <= 0.365, f"n={n}: gap={gap}"
+        for n in _AROUND[_AROUND.index(_EXACT_MAX) + 1 :] + large:
+            assert matousek_lb(n) < mathias_ub(n) < opt_lt_toe(n), n
 
     def test_log_upper_bound(self):
-        for n in (10, 100, 10**4, 10**6):
+        for n in (10, 100, 10**4, 10**6, 10**12, _N_MAX):
             assert opt_lt_toe(n) <= 1.0 + (EULER_GAMMA + math.log(n)) / math.pi
 
     def test_mathias_hand_value(self):
@@ -439,12 +452,77 @@ class TestBoundsTable:
             bounds_table(2)["mathias_ub"], 0.5 + math.sqrt(2) / 2, rtol=1e-12
         )
 
-    def test_cache_growth_consistency(self):
-        """Asking for a large n then a small one returns identical values."""
-        big = opt_lt_toe(2**15)
-        small = opt_lt_toe(3)
-        assert small == 1.390625
-        assert big == opt_lt_toe(2**15)
+
+_AROUND = [4000, 4095, 4096, 4097, 4098, 4200]
+
+
+def _mp_landau_expansion(n, terms):
+    """``pi * opt_lt_toe(n)`` from the first ``terms`` of the module's
+    expansion coefficients, in mpmath."""
+    n = mpmath.mpf(n)
+    tail = mpmath.fsum(mpmath.mpf(a) * n ** -(j + 1) for j, a in enumerate(_LANDAU_A[:terms]))
+    return mpmath.log(n) + mpmath.euler + 4 * mpmath.log(2) + tail
+
+
+def _mp_csc_expansion(N, terms):
+    """``T(N) / N`` from the module's first ``terms`` coefficients, in mpmath."""
+    N = mpmath.mpf(N)
+    tail = mpmath.fsum(2 * mpmath.mpf(c) * N ** (-2 * (k + 1)) for k, c in enumerate(_CSC_HALF[:terms]))
+    return 2 / mpmath.pi * (mpmath.log(8 * N / mpmath.pi) + mpmath.euler) + tail
+
+
+def _mp_bounds(n):
+    """(opt_lt_toe, mathias_ub, matousek_lb) at n in 45-digit mpmath: direct
+    sums up to 10^4, the full expansions beyond (tested against the sums)."""
+    with mpmath.workdps(45):
+        if n <= 10**4:
+            opt, t_n, t_2n1 = mp_opt_lt_toe(n), mp_csc_sum(n) / n, mp_csc_sum(2 * n + 1) / (2 * n + 1)
+        else:
+            opt = _mp_landau_expansion(n, len(_LANDAU_A)) / mpmath.pi
+            t_n, t_2n1 = _mp_csc_expansion(n, len(_CSC_HALF)), _mp_csc_expansion(2 * n + 1, len(_CSC_HALF))
+        return opt, 0.5 + t_n / 2, ((2 * n + 1) * t_2n1 - 1) / (4 * n)
+
+
+class TestBoundsAtAnyHorizon:
+    """At or below ``_EXACT_MAX`` the bounds are the exact float sums of the
+    ``tests/helpers.py`` oracles, bit for bit; above it, O(1) asymptotic
+    expansions that must stay within a few ulp of 45-digit values."""
+
+    def test_exact_sums_up_to_threshold(self):
+        # every n, in an order that asks for a large n first: the prefix sums
+        # are sequential, so no value depends on the table it came from
+        opt_lt_toe(2**15)
+        f = optimal_coeffs(_EXACT_MAX).coeffs
+        table = np.cumsum(f * f)
+        for n in range(_EXACT_MAX, 0, -1):
+            assert opt_lt_toe(n) == table[n - 1] == opt_lt_toe_direct(n), n
+            assert mathias_ub(n) == mathias_ub_direct(n), n
+            assert matousek_lb(n) == matousek_lb_direct(n), n
+
+    def test_expansion_coefficients(self):
+        """With k terms kept, the residual against the exact sums falls like
+        the first dropped term, n^-(k+1) (Landau) and N^-(2k+2) (cosecants):
+        any wrong coefficient would leave a far larger residual."""
+        with mpmath.workdps(45):
+            for n in (64, 128, 256):
+                resid = mpmath.pi * mp_opt_lt_toe(n) - _mp_landau_expansion(n, len(_LANDAU_A))
+                assert abs(resid) <= 0.01 * mpmath.mpf(n) ** -(len(_LANDAU_A) + 1), n
+            for N in (64, 129, 256):
+                resid = mp_csc_sum(N) / N - _mp_csc_expansion(N, len(_CSC_HALF))
+                assert abs(resid) <= 0.01 * mpmath.mpf(N) ** -(2 * len(_CSC_HALF) + 2), N
+
+    @pytest.mark.parametrize(
+        "n", [_EXACT_MAX + 1, 4100, 5000, 8192, 10**4, 10**6, 10**9, 2**40, 2**53 + 1, 2**62, _N_MAX]
+    )
+    def test_expansion_within_4_ulp(self, n):
+        got = (opt_lt_toe(n), mathias_ub(n), matousek_lb(n))
+        for name, g, ref in zip(("opt_lt_toe", "mathias_ub", "matousek_lb"), got, _mp_bounds(n)):
+            assert abs(mpmath.mpf(g) - ref) <= 4 * math.ulp(float(ref)), (name, n)
+
+    def test_monotone_across_threshold(self):
+        for bound in (opt_lt_toe, mathias_ub, matousek_lb):
+            vals = [bound(n) for n in range(_EXACT_MAX - 64, _EXACT_MAX + 65)]
+            assert all(a < b for a, b in zip(vals, vals[1:])), bound.__name__
 
 
 class TestCsvEmission:
