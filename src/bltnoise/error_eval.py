@@ -220,8 +220,11 @@ def mathias_ub(n: int) -> float:
         raise ValueError("n must be >= 1")
     if n > _EXACT_MAX:
         return 0.5 + _csc_half_mean(n)
-    j = np.arange(1, n + 1)
-    return float(0.5 + np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (2 * n))) / (2 * n))
+    # T(n) is twice its first half by the symmetry j <-> n + 1 - j, plus
+    # csc(pi/2) = 1 for odd n: angles near pi would carry float pi's error
+    j = np.arange(1, n // 2 + 1)
+    half = math.fsum(1.0 / np.sin(np.pi * (2 * j - 1) / (2 * n)))
+    return 0.5 + (2.0 * half + n % 2) / (2 * n)
 
 
 def matousek_lb(n: int) -> float:

@@ -190,6 +190,11 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         theta_hat0 = np.atleast_1d(np.asarray(theta_hat0, dtype=np.float64))
     if theta0.size != cfg.degree or theta_hat0.size != cfg.degree:
         raise ValueError("initialization size does not match degree")
+    for name, p0 in (("theta", theta0), ("theta_hat", theta_hat0)):
+        outside = np.flatnonzero(~((p0 > 0.0) & (p0 < 1.0)))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"init {name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
     d = cfg.degree
     n = cfg.n
     w = cfg.barrier_weight

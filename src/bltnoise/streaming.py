@@ -38,7 +38,10 @@ batch's normals in place and the consumer takes the buffer.  A batch is valid
 until the next one is requested, when the worker starts drawing into its
 buffer; ``noise_stream`` copies each batch, so the rows it yields stay valid.
 One draw is in flight at a time and only the worker touches the generator,
-in batch order, so the values do not depend on scheduling.
+in batch order, so the values do not depend on scheduling.  The package
+loads numpy's BLAS with one thread (see ``bltnoise/__init__.py``), so the
+kernel's GEMMs run on the calling thread and no idle BLAS pool spins beside
+the worker; a pool the caller asks for leaves the values as they are.
 """
 
 from __future__ import annotations

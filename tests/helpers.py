@@ -136,13 +136,6 @@ def opt_lt_toe_direct(n):
     return float(np.cumsum(f * f)[n - 1])
 
 
-def mathias_ub_direct(n):
-    """O(n) oracle of ``mathias_ub``: ``1/2 + T(n) / (2n)`` as a float sum of
-    the midpoint cosecants ``T(N) = sum_{j=1}^N csc(pi (2j-1) / (2N))``."""
-    j = np.arange(1, n + 1)
-    return float(0.5 + np.sum(1.0 / np.sin(np.pi * (2 * j - 1) / (2 * n))) / (2 * n))
-
-
 def matousek_lb_direct(n):
     """O(n) oracle of ``matousek_lb``: the float sum of the first n of the
     ``2n + 1`` midpoint cosecants, ``(T(2n+1) - 1) / (4n)`` by symmetry."""

@@ -35,7 +35,6 @@ from bltnoise.rational import ra_blt_build
 from bltnoise.seq import optimal_coeffs, series_reciprocal
 
 from helpers import (
-    mathias_ub_direct,
     matousek_lb_direct,
     mp_csc_sum,
     mp_opt_lt_toe,
@@ -484,9 +483,11 @@ def _mp_bounds(n):
 
 
 class TestBoundsAtAnyHorizon:
-    """At or below ``_EXACT_MAX`` the bounds are the exact float sums of the
-    ``tests/helpers.py`` oracles, bit for bit; above it, O(1) asymptotic
-    expansions that must stay within a few ulp of 45-digit values."""
+    """At or below ``_EXACT_MAX`` the bounds are exact float sums: those of
+    ``opt_lt_toe`` and ``matousek_lb`` equal the ``tests/helpers.py`` oracles
+    bit for bit, and ``mathias_ub``'s is within 2 ulp of 45-digit values.
+    Above it, O(1) asymptotic expansions that must stay within a few ulp of
+    45-digit values."""
 
     def test_exact_sums_up_to_threshold(self):
         # every n, in an order that asks for a large n first: the prefix sums
@@ -496,8 +497,18 @@ class TestBoundsAtAnyHorizon:
         table = np.cumsum(f * f)
         for n in range(_EXACT_MAX, 0, -1):
             assert opt_lt_toe(n) == table[n - 1] == opt_lt_toe_direct(n), n
-            assert mathias_ub(n) == mathias_ub_direct(n), n
             assert matousek_lb(n) == matousek_lb_direct(n), n
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 64, 1000, 2048, 2733, 4095, _EXACT_MAX] + list(range(5, _EXACT_MAX, 293))
+    )
+    def test_mathias_ub_exact_sum_within_2_ulp(self, n):
+        # summed over the half of the midpoint angles below pi/2; over all of
+        # them, float pi's error near pi put it 330 ulp off at n = 4095.  The
+        # largest error over every n <= 4096 is 1.56 ulp, at n = 2733.
+        with mpmath.workdps(45):
+            ref = 0.5 + mp_csc_sum(n) / (2 * n)
+        assert abs(mpmath.mpf(mathias_ub(n)) - ref) <= 2 * math.ulp(float(ref))
 
     def test_expansion_coefficients(self):
         """With k terms kept, the residual against the exact sums falls like

@@ -20,6 +20,7 @@ from bltnoise.optimizer import (
 )
 from bltnoise.seq import ltt_dense, series_reciprocal
 from bltnoise.params import blt_coeffs, degree1_closed_form
+from bltnoise.rational import ra_blt_build
 
 from helpers import optimized_d5, random_factorization
 
@@ -161,6 +162,18 @@ class TestSanitize:
         cfg = OptConfig(degree=2, n=100, init=([0.3, 0.3], [0.35, 0.36]))
         with pytest.raises(ValueError, match="infeasible"):
             optimize_blt(cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_init_outside_open_interval_names_the_entry(self):
+        # ra's zero at x = 1 is an exact theta_hat of 1.0, a pole of the logit
+        ra = ra_blt_build(5, 1000)
+        with pytest.raises(ValueError, match=r"^init theta_hat\[0\] = 1\.0 is not strictly inside"):
+            optimize_blt(OptConfig(degree=5, n=1000, init=(ra.theta, ra.theta_hat)))
+        for bad, shown in ((1.5, "1.5"), (math.nan, "nan"), (0.0, "0.0"), (-math.inf, "-inf")):
+            with pytest.raises(ValueError, match=rf"^init theta_hat\[1\] = {shown} "):
+                optimize_blt(OptConfig(degree=2, n=100, init=([0.3, 0.5], [0.4, bad])))
+            with pytest.raises(ValueError, match=rf"^init theta\[0\] = {shown} "):
+                optimize_blt(OptConfig(degree=2, n=100, init=([bad, 0.5], [0.4, 0.6])))
 
 
 class TestOptimizeBlt:

@@ -1,0 +1,149 @@
+"""Check that this checkout's ``blt`` output is byte-identical to a revision's.
+
+    python tools/samecheck.py --against REV [--changed NAME ...]
+
+REV is checked out with ``git worktree add`` into a temporary directory, and
+the worktree is removed on exit.  Each command in ``COMMANDS`` runs from both
+trees, as ``python -m bltnoise.cli`` (or ``python -c`` for the in-process
+shard) with that tree's ``src`` on ``PYTHONPATH``, in a per-tree work
+directory.  The check compares the exit code and the sha256 of stdout and of
+every file the command writes, sidecars included.  It prints one JSON line per
+command and exits 1 when a command differs that ``--changed`` does not mark.
+``--changed NAME`` marks a command whose output the change means to move;
+the report names every marked command, and a marked command does not fail the
+check.
+
+The noise bytes depend on the BLAS kernel and on numpy's SIMD ``log``, so
+compare two revisions on one machine, never against stored digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SHARD = """
+import sys
+from bltnoise import NoiseStreamConfig, load_factorization, noise_stream
+import numpy as np
+cfg = NoiseStreamConfig(load_factorization("ra5.json"), n=3000, m=300, seed=11, zeta=1.0)
+rows = np.array(list(noise_stream(cfg, columns=[3, 127, 128, 250, 299])))
+sys.stdout.buffer.write(rows.tobytes())
+"""
+
+# (name, argv): argv for ``blt``, or ("-c", source) for a Python snippet.
+# The build commands write the factorization files that later commands read.
+COMMANDS = [
+    ("build-ra5", ["build", "--method", "ra", "--degree", "5", "--steps", "20000", "--out", "ra5.json"]),
+    ("build-ra9", ["build", "--method", "ra", "--degree", "9", "--steps", "1000000", "--out", "ra9.json"]),
+    ("build-ra3", ["build", "--method", "ra", "--degree", "3", "--steps", "12", "--out", "ra3.json"]),
+    ("build-degree1", ["build", "--method", "degree1", "--steps", "300", "--out", "d1.json"]),
+    ("noisegen-f64-prefix-20000x1000",
+     ["noisegen", "--blt", "ra5.json", "--steps", "20000", "--dim", "1000", "--mode", "prefix",
+      "--format", "f64", "--out", "wide.f64"]),
+    ("noisegen-f64-prefix-20000x130",
+     ["noisegen", "--blt", "ra5.json", "--steps", "20000", "--dim", "130", "--mode", "prefix",
+      "--format", "f64", "--out", "w130.f64"]),
+    ("noisegen-f64-per-step-1000000x1",
+     ["noisegen", "--blt", "ra9.json", "--steps", "1000000", "--dim", "1", "--format", "f64",
+      "--out", "long.f64"]),
+    ("noisegen-csv-per-step-300x3",
+     ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--out", "ps.csv"]),
+    ("noisegen-csv-prefix-300x3",
+     ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--mode", "prefix", "--out", "pf.csv"]),
+    ("noisegen-csv-zeta0",
+     ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--zeta", "0", "--out", "z0.csv"]),
+    ("noisegen-f64-zeta0",
+     ["noisegen", "--blt", "ra5.json", "--steps", "2000", "--dim", "130", "--zeta", "0", "--format", "f64",
+      "--out", "z0.f64"]),
+    ("noisegen-f64-seed-max",
+     ["noisegen", "--blt", "ra5.json", "--steps", "2000", "--dim", "130", "--seed", str(2**64 - 1),
+      "--format", "f64", "--out", "smax.f64"]),
+    ("noisegen-csv-seed-max",
+     ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--seed", str(2**64 - 1),
+      "--out", "smax.csv"]),
+    ("shard-300", ["-c", SHARD]),
+    ("verify", ["verify", "--blt", "ra5.json", "--steps", "2000", "--dim", "3"]),
+    ("recursive", ["recursive", "--base", "ra3.json", "--levels", "3"]),
+    ("bounds-4096", ["bounds", "--n-max", "4096"]),
+    ("bounds-log-grid", ["bounds", "--n-max", str(10**12), "--log-grid", "60"]),
+    ("compare", ["compare", "--methods", "opt,ra,degree1", "--degrees", "3,5", "--n-grid", "1000,100000"]),
+    ("optimize-d3", ["optimize", "--degree", "3", "--steps", "2000", "--out", "opt3.json"]),
+    ("optimize-d5", ["optimize", "--degree", "5", "--steps", "100000", "--out", "opt5.json"]),
+]
+
+
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def run(tree: Path, work: Path, argv: list) -> dict:
+    """Run one command from ``tree`` in ``work``; return the digests of its
+    exit code, stdout and the files it wrote.  Files that no build command
+    wrote are deleted after hashing, so the large noise files do not pile up."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    before = {p.name: p.stat().st_mtime_ns for p in work.iterdir()}
+    cmd = [sys.executable] + (argv if argv[0] == "-c" else ["-m", "bltnoise.cli"] + argv)
+    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE)
+    digests = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
+    for p in sorted(work.iterdir()):
+        if before.get(p.name) != p.stat().st_mtime_ns:
+            digests[p.name] = _sha256(p)
+            if argv[0] != "build":
+                p.unlink()
+    return digests
+
+
+def compare(rev_tree: Path, head_tree: Path, work: Path, changed: set) -> bool:
+    """Run every command from both trees and print one JSON line each; return
+    whether every unmarked command was identical."""
+    rev_work, head_work = work / "rev", work / "head"
+    rev_work.mkdir()
+    head_work.mkdir()
+    ok = True
+    for name, argv in COMMANDS:
+        rev = run(rev_tree, rev_work, argv)
+        head = run(head_tree, head_work, argv)
+        differs = sorted(k for k in rev.keys() | head.keys() if rev.get(k) != head.get(k))
+        marked = name in changed
+        ok &= marked or not differs
+        line = {"command": name, "same": not differs, "marked": marked, "differs": differs, "exit": head["exit"]}
+        print(json.dumps(line), flush=True)
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--changed", action="append", default=[], metavar="NAME",
+                        help="a command whose output the change means to move (repeatable)")
+    args = parser.parse_args(argv)
+    names = {name for name, _ in COMMANDS}
+    unknown = sorted(set(args.changed) - names)
+    if unknown:
+        parser.error(f"--changed: unknown command(s) {', '.join(unknown)}; known: {', '.join(sorted(names))}")
+    with tempfile.TemporaryDirectory(prefix="samecheck-") as tmp:
+        rev_tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(rev_tree),
+                        args.against], check=True)
+        try:
+            ok = compare(rev_tree, ROOT, Path(tmp), set(args.changed))
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(rev_tree)], check=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
