@@ -209,6 +209,10 @@ def _cmd_compare(args) -> int:
         if meth not in ("ra", "opt", "degree1"):
             raise ValueError(f"unknown method {meth!r}")
     ns = args.n_grid
+    for n in ns:
+        _check_horizon("--n-grid", n)
+    if "opt" in methods and min(args.degrees) < 1:
+        raise ValueError(f"--degrees must be >= 1 for --methods opt, got {min(args.degrees)}")
     lines = ["method,degree," + MECH_CSV_HEADER]
 
     def add_row(meth, d, n, fact):

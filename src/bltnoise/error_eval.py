@@ -152,8 +152,6 @@ def max_err(fact: BltFactorization, n: int | None = None) -> MaxErrReport:
     """MaxErr report for a factorization evaluated over ``n`` steps."""
     if n is None:
         n = fact.n
-    if n < 1:
-        raise ValueError("n must be >= 1")
     sens = sensitivity_of(fact, n)
     rn = rownorm_of(fact, n)
     return MaxErrReport(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_eval import max_err, rownorm_closed, sensitivity_closed
-from .params import BltFactorization, blt_coeffs, residues_from_roots
+from .params import _N_MAX, BltFactorization, _is_int, _residues_one_side, blt_coeffs
 from .seq import ltt_dense, series_reciprocal
 
 _CSTEP = 1e-20
@@ -49,12 +49,17 @@ class OptConfig:
     init: object = "geometric_ladder"
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        if not (_is_int(self.degree) and self.degree >= 1):
+            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
+        if not (_is_int(self.n) and 2 <= self.n <= _N_MAX):
+            raise ValueError(f"n must be an integer in [2, 2**63 - 1], got {self.n!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        for name in ("grad_tol", "barrier_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        self.degree, self.n = int(self.degree), int(self.n)
 
 
 @dataclass
@@ -86,33 +91,43 @@ def geometric_ladder(degree: int, n: int):
 def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
     """Loss on (possibly complex) interior parameters; no validation.
 
-    1-d parameters give one value, 2-d ones a value per row.
+    1-d parameters give one value, 2-d ones a value per row.  A trial point
+    far outside the basin overflows the residue products, and a repeated root
+    divides by zero; the loss there is +inf, so the warnings carry nothing.
     """
-    omega, omega_hat = residues_from_roots(theta, theta_hat)
-    value = sensitivity_closed(omega, theta, n) * rownorm_closed(omega, theta, n)
-    if barrier_weight != 0.0:
-        if np.any(np.real(omega_hat) <= 0.0):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = _residues_one_side(theta, theta_hat)
+        omega_hat = _residues_one_side(theta_hat, theta)
+        if not np.all(np.isfinite(omega_hat)):
             return math.inf
-        value = value + barrier_weight * (
-            -np.sum(np.log(theta), axis=-1) - np.sum(np.log(omega_hat), axis=-1)
-        )
+        value = sensitivity_closed(omega, theta, n) * rownorm_closed(omega, theta, n)
+        if barrier_weight != 0.0:
+            if np.any(np.real(omega_hat) <= 0.0):
+                return math.inf
+            value = value + barrier_weight * (
+                -np.sum(np.log(theta), axis=-1) - np.sum(np.log(omega_hat), axis=-1)
+            )
     return value
 
 
-def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
-    """Barrier-augmented MaxErr; +inf outside the feasible region."""
+def _trial_point(theta, theta_hat):
+    """``(theta, theta_hat)`` as 1-d float arrays of equal length, and whether
+    every entry lies strictly inside (0, 1)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=np.float64))
     if theta.shape != theta_hat.shape or theta.ndim != 1:
         raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
-    for arr in (theta, theta_hat):
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            return math.inf
+    p = np.concatenate([theta, theta_hat])
+    return theta, theta_hat, not (np.any(p <= 0.0) or np.any(p >= 1.0))
+
+
+def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
+    """Barrier-augmented MaxErr; +inf outside the feasible region."""
+    theta, theta_hat, inside = _trial_point(theta, theta_hat)
+    if not inside:
+        return math.inf
     try:
-        # a trial point far outside the basin can overflow the residue
-        # products; the loss there is +inf, so the warnings carry nothing
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value = float(np.real(_loss_core(theta, theta_hat, n, barrier_weight)))
+        value = float(np.real(_loss_core(theta, theta_hat, n, barrier_weight)))
     except ValueError:
         return math.inf
     return value if math.isfinite(value) else math.inf
@@ -124,13 +139,9 @@ def gradient(theta, theta_hat, n: int, barrier_weight: float) -> np.ndarray:
     Computed by a 1e-20 imaginary step per coordinate, all 2d steps in one
     batched loss evaluation; exact to roundoff.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=np.float64))
-    if theta.shape != theta_hat.shape or theta.ndim != 1:
-        raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
-    for arr in (theta, theta_hat):
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("parameters must lie strictly inside (0, 1)")
+    theta, theta_hat, inside = _trial_point(theta, theta_hat)
+    if not inside:
+        raise ValueError("parameters must lie strictly inside (0, 1)")
     d = theta.size
     params = np.concatenate([theta, theta_hat]) + 1j * _CSTEP * np.eye(2 * d)
     val = _loss_core(params[:, :d], params[:, d:], n, barrier_weight)
@@ -185,9 +196,7 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
     if cfg.init == "geometric_ladder":
         theta0, theta_hat0 = geometric_ladder(cfg.degree, cfg.n)
     else:
-        theta0, theta_hat0 = cfg.init
-        theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
-        theta_hat0 = np.atleast_1d(np.asarray(theta_hat0, dtype=np.float64))
+        theta0, theta_hat0, _ = _trial_point(*cfg.init)
     if theta0.size != cfg.degree or theta_hat0.size != cfg.degree:
         raise ValueError("initialization size does not match degree")
     for name, p0 in (("theta", theta0), ("theta_hat", theta_hat0)):

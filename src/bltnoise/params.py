@@ -15,7 +15,6 @@ engine and the evaluators read.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +40,8 @@ class RationalBlt:
     """Pole/residue form of a degree-d rational generator.
 
     Coefficients follow ``r_0 = 1`` and ``r_k = sum_j omega_j theta_j^{k-1}``
-    for ``k >= 1``.
+    for ``k >= 1``.  Checks shapes and finite residues only: the poles come
+    from ``BltFactorization.rational()``, which has checked them.
     """
 
     theta: np.ndarray
@@ -52,11 +52,6 @@ class RationalBlt:
         omega = np.atleast_1d(np.asarray(self.omega, dtype=np.float64))
         if theta.shape != omega.shape or theta.ndim != 1:
             raise ValueError("theta and omega must be 1-d arrays of equal length")
-        if theta.size:
-            if not (np.all(theta > 0.0) and np.all(theta <= 1.0)):
-                raise ValueError("theta entries must lie in (0, 1]")
-            if np.unique(theta).size != theta.size:
-                raise ValueError("theta entries must be pairwise distinct")
         if not np.all(np.isfinite(omega)):
             raise ValueError("omega entries must be finite")
         object.__setattr__(self, "theta", theta)
@@ -85,13 +80,15 @@ def residues_from_roots(theta, theta_hat):
 
     Closed form: ``omega_i = theta_i * prod_k (1 - theta_hat_k/theta_i)
     / prod_{j != i} (1 - theta_j/theta_i)``, and symmetrically for
-    ``omega_hat`` with the two root sets swapped.  Repeated roots within a
-    vector are rejected (the denominator vanishes); a shared root *between*
-    the vectors simply zeroes the corresponding residue.
+    ``omega_hat`` with the two root sets swapped.  A shared root *between*
+    the vectors simply zeroes the corresponding residue.  The checked entry
+    for library callers: repeated roots within a vector (the denominator
+    vanishes) and zero roots are refused.  ``BltFactorization`` and the
+    optimizer check their own roots and call ``_residues_one_side``.
 
-    Accepts complex inputs (used by step-differentiation) and batches over
-    leading axes, one root set per row; real inputs of degree > 32 are
-    evaluated in log-space so that individual factors cannot overflow.
+    Accepts complex inputs and batches over leading axes, one root set per
+    row; real inputs of degree > 32 are evaluated in log-space so that
+    individual factors cannot overflow.
     """
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
@@ -102,9 +99,7 @@ def residues_from_roots(theta, theta_hat):
             raise ValueError(f"{name} contains a zero root")
         if np.any(np.diff(np.sort(arr, axis=-1), axis=-1) == 0):
             raise ValueError(f"{name} contains repeated roots")
-    omega = _residues_one_side(theta, theta_hat)
-    omega_hat = _residues_one_side(theta_hat, theta)
-    return omega, omega_hat
+    return _residues_one_side(theta, theta_hat), _residues_one_side(theta_hat, theta)
 
 
 def _residues_one_side(poles, zeros):
@@ -136,6 +131,8 @@ class BltFactorization:
     derived from the roots at construction.  Constructions whose roots cannot
     be resolved at float64 (the rational approximation at large degree) pass
     their analytically exact residues instead; residues are never serialized.
+    The constructor owns the checks on the roots (1-d, of equal length, in
+    (0, 1], pairwise distinct), n and the method, also for a loaded file.
     """
 
     theta: np.ndarray
@@ -151,21 +148,21 @@ class BltFactorization:
         if theta.ndim != 1 or theta.shape != theta_hat.shape:
             raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
         for name, arr in (("theta", theta), ("theta_hat", theta_hat)):
-            if arr.size and not (np.all(arr > 0.0) and np.all(arr <= 1.0)):
+            if not (np.all(arr > 0.0) and np.all(arr <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
             if np.unique(arr).size != arr.size:
                 raise ValueError(f"{name} entries must be pairwise distinct")
         n = self.n
-        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 1 <= n <= _N_MAX):
+        if not (_is_int(n) and 1 <= n <= _N_MAX):
             raise ValueError(f"n must be a positive integer <= 2**63 - 1, got {n!r}")
         if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
         self.theta = theta
         self.theta_hat = theta_hat
         self.n = int(n)
         self.meta = dict(self.meta or {})
         if self.omega is None:
-            self.omega = residues_from_roots(theta, theta_hat)[0]
+            self.omega = _residues_one_side(theta, theta_hat)
         else:
             self.omega = np.asarray(self.omega, dtype=np.float64)
 
@@ -215,59 +212,51 @@ def save_factorization(fact: BltFactorization, path) -> None:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number_list(value) -> bool:
-    """A flat JSON list of finite numbers."""
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value
-    )
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def load_factorization(path) -> BltFactorization:
     """Load a factorization, regenerating exact parameters for constructions.
 
     Files with ``meta.method == "ra"`` are rebuilt from (degree, n) so the
-    analytically exact residues are available, then checked against the stored
-    roots.  A malformed file raises ``ValueError`` naming the file and the field.
+    analytically exact residues are available, then checked against the
+    stored roots.  Checks here only what JSON can get wrong (types, missing
+    fields, degree against the lengths); ``BltFactorization`` and
+    ``newman_sqrt`` check the values.  A malformed file raises one
+    ``ValueError`` naming the file and the field.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-
-    def malformed(what):
-        return ValueError(f"factorization file {path}: {what}")
-
-    if not isinstance(payload, dict):
-        raise malformed("must hold a JSON object")
-    for key in ("degree", "theta", "theta_hat", "n", "meta"):
-        if key not in payload:
-            raise malformed(f"missing field {key!r}")
-    meta, n, degree = payload["meta"], payload["n"], payload["degree"]
-    if not isinstance(meta, dict):
-        raise malformed(f"meta must be a JSON object, got {meta!r}")
-    if not (_is_int(n) and 1 <= n <= _N_MAX):
-        raise malformed(f"n must be a positive integer <= 2**63 - 1, got {n!r}")
-    if not (_is_int(degree) and degree >= 0):
-        raise malformed(f"degree must be a non-negative integer, got {degree!r}")
-    for key in ("theta", "theta_hat"):
-        if not _is_number_list(payload[key]):
-            raise malformed(f"{key} must be a flat list of finite numbers")
-    method = meta.get("method", "manual")
-    if method not in _METHODS:
-        raise malformed(f"meta.method must be one of {', '.join(_METHODS)}, got {method!r}")
-    if method == "ra" and degree < 3:
-        raise malformed(f"degree must be >= 3 for an ra file, got {degree}")
-    theta = np.asarray(payload["theta"], dtype=np.float64)
-    theta_hat = np.asarray(payload["theta_hat"], dtype=np.float64)
-    if len(theta) != degree or len(theta_hat) != degree:
-        raise malformed("degree field does not match stored roots")
-    extra = {k: v for k, v in meta.items() if k not in ("method", "version")}
-    if method == "ra":
+    try:
+        if not isinstance(payload, dict):
+            raise ValueError("must hold a JSON object")
+        for key in ("degree", "theta", "theta_hat", "n", "meta"):
+            if key not in payload:
+                raise ValueError(f"missing field {key!r}")
+        meta, degree = payload["meta"], payload["degree"]
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {meta!r}")
+        method = meta.get("method", "manual")
+        if not isinstance(method, str):
+            raise ValueError(f"meta.method must be a string, got {method!r}")
+        if not (_is_int(degree) and degree >= 0):
+            raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+        for key in ("theta", "theta_hat"):
+            # np.asarray would read a numeric string as a number
+            value = payload[key]
+            if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)):
+                raise ValueError(f"{key} must be a flat list of numbers")
+            if len(value) != degree:
+                raise ValueError("degree field does not match stored roots")
+        extra = {k: v for k, v in meta.items() if k not in ("method", "version")}
+        if method != "ra":
+            return BltFactorization(payload["theta"], payload["theta_hat"], payload["n"], method, meta=extra)
         from .rational import ra_blt_build
 
-        fact = ra_blt_build(degree, n)
-        if not np.allclose(fact.theta, theta, rtol=0, atol=1e-12):
-            raise malformed("stored roots do not match the regenerated construction")
+        fact = ra_blt_build(degree, payload["n"])
+        for key in ("theta", "theta_hat"):
+            if not np.allclose(getattr(fact, key), payload[key], rtol=0, atol=1e-12):
+                raise ValueError(f"stored {key} does not match the regenerated construction")
         fact.meta.update(extra)
         return fact
-    return BltFactorization(theta, theta_hat, n, method=method, meta=extra)
+    except ValueError as exc:
+        raise ValueError(f"factorization file {path}: {exc}") from exc

@@ -77,7 +77,7 @@ def newman_error_bound(d: int) -> float:
 def newman_sqrt(d: int) -> SqrtApproxTerms:
     """Degree-d rational approximation of sqrt(1-x) with real simple poles."""
     if d < 3:
-        raise ValueError("d must be >= 3 (two-sided pole ladder needs d_plus >= 1)")
+        raise ValueError(f"degree must be >= 3 (two-sided pole ladder needs d_plus >= 1), got {d}")
     d_plus = (d - 1) // 2
     return SqrtApproxTerms(d_plus, d - 1 - d_plus, math.pi / math.sqrt(2.0 * d_plus))
 
@@ -142,12 +142,9 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
     The poles of ``newman_sqrt(d)`` give theta_k = 1/center_k with exact
     residues -weight_k * theta_k^2 / rt(0); the zeros give theta_hat
     (including the exact zero at x = 1).  The construction depends on n only
-    through the stored target horizon.
+    through the stored target horizon.  ``newman_sqrt`` checks d and
+    ``BltFactorization`` checks n.
     """
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     ladder = newman_sqrt(d)
     offsets, weights, constant = ladder.offsets, ladder.weights, ladder.constant
     theta = 1.0 / (1.0 + offsets)  # the offsets ascend, so theta is descending

@@ -610,6 +610,10 @@ class TestMalformedInputs:
             (["bounds", "--n-max", str(2**63), "--log-grid", "3"], None, 2, "--n-max"),
             # a 1000-step base composed 7 times: a 10^21-step horizon
             (["recursive", "--levels", "7"], None, 2, "--levels"),
+            (["optimize", "--degree", "2", "--steps", str(2**63)], None, 2, "n must"),
+            (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", "1000,0"], None, 2, "--n-grid"),
+            (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", str(2**63)], None, 2, "--n-grid"),
+            (["compare", "--methods", "opt", "--degrees", "0", "--n-grid", "100"], None, 2, "--degrees"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):

@@ -32,6 +32,7 @@ LIBRARY_ENTRY_POINTS = {
     "blt_base_factory",
     "theorem2_params",
     "degree_for_error",
+    "residues_from_roots",
 }
 
 # Checks of the paper's lemmas, and the references the engine is tested

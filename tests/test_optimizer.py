@@ -244,6 +244,29 @@ class TestOptimizeBlt:
         with pytest.raises(ValueError):
             optimize_blt(OptConfig(degree=2, n=100, init=([0.5], [0.6])))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("degree", True),
+            ("degree", 2.0),
+            ("n", 1000.5),
+            ("n", True),
+            ("n", 2**63),
+            ("grad_tol", math.nan),
+            ("barrier_weight", -1.0),
+            ("barrier_weight", math.inf),
+        ],
+    )
+    def test_config_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            OptConfig(**{"degree": 3, "n": 1000, field: value})
+
+    def test_numpy_integers_read_as_int(self):
+        # the horizon reaches int-only code (bintree_value's bit_length) and
+        # the saved file's meta, which JSON must encode
+        cfg = OptConfig(degree=np.int64(3), n=np.int64(1000))
+        assert type(cfg.degree) is int and type(cfg.n) is int
+
 
 class TestStopReason:
     @pytest.mark.parametrize(

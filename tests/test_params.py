@@ -1,5 +1,7 @@
 """Tests for rational generator parameterizations and conversions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,38 @@ class TestSerialization:
         path.write_text('{"degree": 1, "theta": [0.5]}')
         with pytest.raises(ValueError):
             load_factorization(path)
+
+
+class TestOneOwner:
+    """``BltFactorization`` owns the checks on n, the method and the roots:
+    a bad value gives the same message from the constructor and from a file,
+    the file's prefixed with its path."""
+
+    GOOD = {"theta": [0.5, 0.8], "theta_hat": [0.6, 0.9], "n": 128, "method": "opt"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", True),
+            ("n", 0),
+            ("n", 2**63),
+            ("n", "1000"),
+            ("method", "x"),
+            ("theta", [1.5, 0.5]),
+            ("theta", [0.5, 0.5]),
+            ("theta", [float("nan"), 0.5]),
+            ("theta_hat", [0.0, 0.9]),
+            ("theta_hat", [0.9, 0.9]),
+            ("theta_hat", [0.6, float("nan")]),
+        ],
+    )
+    def test_constructor_and_file_say_the_same(self, tmp_path, field, value):
+        args = {**self.GOOD, field: value}
+        with pytest.raises(ValueError) as direct:
+            BltFactorization(**args)
+        path = tmp_path / "f.json"
+        payload = {key: args[key] for key in ("theta", "theta_hat", "n")}
+        path.write_text(json.dumps({**payload, "degree": 2, "meta": {"method": args["method"]}}))
+        with pytest.raises(ValueError) as loaded:
+            load_factorization(path)
+        assert str(loaded.value) == f"factorization file {path}: {direct.value}"

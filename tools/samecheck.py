@@ -6,12 +6,13 @@ REV is checked out with ``git worktree add`` into a temporary directory, and
 the worktree is removed on exit.  Each command in ``COMMANDS`` runs from both
 trees, as ``python -m bltnoise.cli`` (or ``python -c`` for the in-process
 shard) with that tree's ``src`` on ``PYTHONPATH``, in a per-tree work
-directory.  The check compares the exit code and the sha256 of stdout and of
-every file the command writes, sidecars included.  It prints one JSON line per
-command and exits 1 when a command differs that ``--changed`` does not mark.
-``--changed NAME`` marks a command whose output the change means to move;
-the report names every marked command, and a marked command does not fail the
-check.
+directory.  The check compares the exit code and the sha256 of stdout, of
+stderr (with the tree's root path replaced by ``<tree>``) and of every file
+the command writes, sidecars included.  It prints one JSON line per command
+and exits 1 when a command differs that ``--changed`` does not mark.
+``--changed NAME`` marks a command whose output the change means to move,
+such as a bad-input command whose error line is reworded; the report names
+every marked command, and a marked command does not fail the check.
 
 The noise bytes depend on the BLAS kernel and on numpy's SIMD ``log``, so
 compare two revisions on one machine, never against stored digests.
@@ -37,6 +38,16 @@ import numpy as np
 cfg = NoiseStreamConfig(load_factorization("ra5.json"), n=3000, m=300, seed=11, zeta=1.0)
 rows = np.array(list(noise_stream(cfg, columns=[3, 127, 128, 250, 299])))
 sys.stdout.buffer.write(rows.tobytes())
+"""
+
+# a factorization file with one bad field, then ``blt eval`` on it
+BAD_FILE = """
+import json, sys
+from bltnoise.cli import main
+bad = {"degree": 1, "theta": [0.5], "theta_hat": [0.75], "n": 100, "meta": {"method": "x"}}
+with open("bad.json", "w") as fh:
+    json.dump(bad, fh)
+sys.exit(main(["eval", "--blt", "bad.json"]))
 """
 
 # (name, argv): argv for ``blt``, or ("-c", source) for a Python snippet.
@@ -78,6 +89,10 @@ COMMANDS = [
     ("compare", ["compare", "--methods", "opt,ra,degree1", "--degrees", "3,5", "--n-grid", "1000,100000"]),
     ("optimize-d3", ["optimize", "--degree", "3", "--steps", "2000", "--out", "opt3.json"]),
     ("optimize-d5", ["optimize", "--degree", "5", "--steps", "100000", "--out", "opt5.json"]),
+    # bad input: exit 2 and one error line on stderr
+    ("bad-file-eval", ["-c", BAD_FILE]),
+    ("optimize-max-iters-0", ["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0", "--out", "x.json"]),
+    ("noisegen-dim-0", ["noisegen", "--blt", "d1.json", "--steps", "5", "--dim", "0", "--out", "x.csv"]),
 ]
 
 
@@ -91,13 +106,19 @@ def _sha256(path: Path) -> str:
 
 def run(tree: Path, work: Path, argv: list) -> dict:
     """Run one command from ``tree`` in ``work``; return the digests of its
-    exit code, stdout and the files it wrote.  Files that no build command
-    wrote are deleted after hashing, so the large noise files do not pile up."""
+    exit code, stdout, stderr and the files it wrote.  Files that no build
+    command wrote are deleted after hashing, so the large noise files do not
+    pile up."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     before = {p.name: p.stat().st_mtime_ns for p in work.iterdir()}
     cmd = [sys.executable] + (argv if argv[0] == "-c" else ["-m", "bltnoise.cli"] + argv)
-    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE)
-    digests = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
+    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stderr = proc.stderr.replace(str(tree).encode(), b"<tree>")
+    digests = {
+        "exit": proc.returncode,
+        "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr": hashlib.sha256(stderr).hexdigest(),
+    }
     for p in sorted(work.iterdir()):
         if before.get(p.name) != p.stat().st_mtime_ns:
             digests[p.name] = _sha256(p)
