@@ -27,67 +27,34 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     del numpy
 del os, sys, _BLAS_THREAD_VARS
 
-from .seq import ToeplitzSeq, optimal_coeffs, series_reciprocal, ltt_apply_dense
 from .params import (
-    RationalBlt,
     BltFactorization,
     residues_from_roots,
-    blt_coeffs,
     degree1_closed_form,
     save_factorization,
     load_factorization,
 )
-from .error_eval import (
-    MaxErrReport,
-    geometric_prefix,
-    sensitivity_closed,
-    rownorm_closed,
-    max_err,
-    bounds_table,
-)
+from .error_eval import MaxErrReport, max_err
 from .streaming import NoiseStreamConfig, noise_stream
-from .rational import SqrtApproxTerms, newman_sqrt, degree_for_error, ra_blt_build
-from .optimizer import OptConfig, OptResult, loss, gradient, optimize_blt
-from .recursive import (
-    comb_dense,
-    comc_dense,
-    recursive_norms,
-    recursive_stream,
-    blt_base_factory,
-    theorem2_params,
-)
+from .rational import degree_for_error, ra_blt_build
+from .optimizer import OptConfig, OptResult, optimize_blt
+from .recursive import recursive_norms, recursive_stream, blt_base_factory, theorem2_params
 
 __all__ = [
-    "ToeplitzSeq",
-    "optimal_coeffs",
-    "series_reciprocal",
-    "ltt_apply_dense",
-    "RationalBlt",
     "BltFactorization",
     "residues_from_roots",
-    "blt_coeffs",
     "degree1_closed_form",
     "save_factorization",
     "load_factorization",
     "MaxErrReport",
-    "geometric_prefix",
-    "sensitivity_closed",
-    "rownorm_closed",
     "max_err",
-    "bounds_table",
     "NoiseStreamConfig",
     "noise_stream",
-    "SqrtApproxTerms",
-    "newman_sqrt",
     "degree_for_error",
     "ra_blt_build",
     "OptConfig",
     "OptResult",
-    "loss",
-    "gradient",
     "optimize_blt",
-    "comb_dense",
-    "comc_dense",
     "recursive_norms",
     "recursive_stream",
     "blt_base_factory",

@@ -25,6 +25,7 @@ from .error_eval import (
 from .optimizer import OptConfig, optimize_blt
 from .params import (
     _N_MAX,
+    _check_tuned_horizon,
     blt_coeffs,
     degree1_closed_form,
     load_factorization,
@@ -55,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str):
-    vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("empty list")
-    return vals
-
-
 def _str_list(text: str):
     vals = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not vals:
@@ -69,9 +63,20 @@ def _str_list(text: str):
     return vals
 
 
+def _int_list(text: str):
+    return [int(tok) for tok in _str_list(text)]
+
+
 def _check_horizon(flag: str, n: int) -> None:
     if not 1 <= n <= _N_MAX:
         raise ValueError(f"{flag} must be in [1, {_N_MAX}], got {n}")
+
+
+def _check_tuned_flag(flag: str, n: int) -> None:
+    try:
+        _check_tuned_horizon(n)
+    except ValueError as exc:  # the library owns the minimum; name the flag
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_bounds(args) -> int:
@@ -93,10 +98,12 @@ def _cmd_build(args) -> int:
     if args.method == "ra":
         if args.degree is None:
             raise ValueError("--degree is required for --method ra")
+        _check_horizon("--steps", args.steps)
         fact = ra_blt_build(args.degree, args.steps)
     else:  # degree1
         if args.degree not in (None, 1):
             raise ValueError("--method degree1 only supports --degree 1")
+        _check_tuned_flag("--steps", args.steps)
         fact = degree1_closed_form(args.steps)
     save_factorization(fact, args.out)
     print(
@@ -108,6 +115,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _check_tuned_flag("--steps", args.steps)
     cfg = OptConfig(degree=args.degree, n=args.steps, max_iters=args.max_iters)
     res = optimize_blt(cfg)
     save_factorization(res.factorization, args.out)
@@ -211,14 +219,15 @@ def _cmd_compare(args) -> int:
     ns = args.n_grid
     for n in ns:
         _check_horizon("--n-grid", n)
+        if "opt" in methods or "degree1" in methods:
+            _check_tuned_flag("--n-grid", n)
     if "opt" in methods and min(args.degrees) < 1:
         raise ValueError(f"--degrees must be >= 1 for --methods opt, got {min(args.degrees)}")
     lines = ["method,degree," + MECH_CSV_HEADER]
 
     def add_row(meth, d, n, fact):
         rep = max_err(fact, n)
-        ratio = rep.max_err / rep.bounds["opt_lt_toe"]
-        lines.append(f"{meth},{d},{bounds_row(n, rep.bounds)},{rep.max_err:.12g},{ratio:.12g}")
+        lines.append(f"{meth},{d},{bounds_row(n, rep.bounds)},{rep.max_err:.12g},{rep.ratio:.12g}")
 
     for meth in methods:
         if meth == "ra":

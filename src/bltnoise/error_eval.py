@@ -118,6 +118,11 @@ class MaxErrReport:
     max_err: float
     bounds: dict
 
+    @property
+    def ratio(self) -> float:
+        """``max_err`` relative to ``opt_lt_toe``, the best Toeplitz value."""
+        return self.max_err / self.bounds["opt_lt_toe"]
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -125,7 +130,7 @@ class MaxErrReport:
             "row_norm": self.row_norm,
             "max_err": self.max_err,
             "bounds": dict(self.bounds),
-            "ratio_to_opt_lt_toe": self.max_err / self.bounds["opt_lt_toe"],
+            "ratio_to_opt_lt_toe": self.ratio,
         }
 
 

@@ -14,7 +14,7 @@ takes strictly lowers the loss, so the last iterate is the best one.  It stops
 at the first of:
 
 - ``"grad_tol"``: the largest gradient component in theta space is at most
-  ``grad_tol`` (the only stop reported as ``converged``);
+  ``_GRAD_TOL`` (the only stop reported as ``converged``);
 - ``"no_decrease"``: the line search accepts a step that does not lower the
   loss, i.e. the step has shrunk to rounding (the loss plateau);
 - ``"line_search_failed"``: no step passes Armijo within the backtrack budget;
@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_eval import max_err, rownorm_closed, sensitivity_closed
-from .params import _N_MAX, BltFactorization, _is_int, _residues_one_side, blt_coeffs
+from .params import BltFactorization, _check_tuned_horizon, _is_int, _residues_one_side, blt_coeffs
 from .seq import ltt_dense, series_reciprocal
 
 _CSTEP = 1e-20
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _COLLISION_EPS = 1e-9
+_GRAD_TOL = 1e-9
 
 
 @dataclass
@@ -44,21 +45,15 @@ class OptConfig:
     degree: int
     n: int
     max_iters: int = 500
-    grad_tol: float = 1e-9
-    barrier_weight: float = 1e-7
-    init: object = "geometric_ladder"
+    init: object = None  # (theta, theta_hat), or None for ``geometric_ladder``
+    barrier_weight = 1e-7  # the loss's log-barrier weight; a constant, not a field
 
     def __post_init__(self):
         if not (_is_int(self.degree) and self.degree >= 1):
             raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
-        if not (_is_int(self.n) and 2 <= self.n <= _N_MAX):
-            raise ValueError(f"n must be an integer in [2, 2**63 - 1], got {self.n!r}")
+        _check_tuned_horizon(self.n)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("grad_tol", "barrier_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         self.degree, self.n = int(self.degree), int(self.n)
 
 
@@ -193,20 +188,20 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
     which, and ``fact.meta`` records it next to ``iterations``.  Stopping for
     any reason but ``"grad_tol"`` gives ``converged=False`` and is not an error.
     """
-    if cfg.init == "geometric_ladder":
-        theta0, theta_hat0 = geometric_ladder(cfg.degree, cfg.n)
+    d, n, w = cfg.degree, cfg.n, cfg.barrier_weight
+    if cfg.init is None:
+        theta0, theta_hat0 = geometric_ladder(d, n)
+        start = f"the default start geometric_ladder(degree={d}, n={n}):"
     else:
         theta0, theta_hat0, _ = _trial_point(*cfg.init)
-    if theta0.size != cfg.degree or theta_hat0.size != cfg.degree:
+        start = "init"
+    if theta0.size != d or theta_hat0.size != d:
         raise ValueError("initialization size does not match degree")
     for name, p0 in (("theta", theta0), ("theta_hat", theta_hat0)):
         outside = np.flatnonzero(~((p0 > 0.0) & (p0 < 1.0)))
         if outside.size:
             i = int(outside[0])
-            raise ValueError(f"init {name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
-    d = cfg.degree
-    n = cfg.n
-    w = cfg.barrier_weight
+            raise ValueError(f"{start} {name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
 
     def params_of(x):
         p = _sigmoid(x)
@@ -237,7 +232,7 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         p_all = np.concatenate([th, thh])
         g_x = g_p * p_all * (1.0 - p_all)
         g_max = float(np.max(np.abs(g_x)))
-        if np.max(np.abs(g_p)) <= cfg.grad_tol:
+        if np.max(np.abs(g_p)) <= _GRAD_TOL:
             trace.append((f_cur, g_max, 0.0, 0))
             stop_reason = "grad_tol"
             break
@@ -277,16 +272,11 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         x, f_cur = x_new, f_new
 
     th, thh = params_of(x)
-    fact = BltFactorization(
-        th,
-        thh,
-        n,
-        method="opt",
-        meta={"n_target": n, "iterations": iterations, "stop_reason": stop_reason},
-    )
+    meta = {"n_target": n, "iterations": iterations, "stop_reason": stop_reason}
+    fact = BltFactorization(th, thh, n, method="opt", meta=meta)
     # the evaluator of `blt eval`, so a saved file reports the same ratio
     rep = max_err(fact, n)
-    fact.meta["final_ratio"] = rep.max_err / rep.bounds["opt_lt_toe"]
+    fact.meta["final_ratio"] = rep.ratio
     _validity_recheck(fact, min(n, 64))
     if rep.max_err < rep.bounds["matousek_lb"] - 1e-9:
         raise RuntimeError("MaxErr below the lower bound; evaluation is inconsistent")

@@ -199,8 +199,7 @@ def degree1_closed_form(n: int) -> BltFactorization:
     is ``1 - a^2 x / (1 - (lam - a^2) x)``, so theta = lam - a^2 and
     theta_hat = lam.  Squared sensitivity is bounded by 1 + a^4/(1 - lam^2).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_tuned_horizon(n)
     lam = 1.0 - n ** (-2.0 / 3.0)
     a2 = n ** (-1.0 / 3.0) * (1.0 - n ** (-1.0 / 3.0))
     return BltFactorization([lam - a2], [lam], n, method="degree1")
@@ -213,6 +212,12 @@ def save_factorization(fact: BltFactorization, path) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_tuned_horizon(n) -> None:
+    """Check that degree1 and opt can be tuned to ``n``: at n = 1 their poles fall on 0."""
+    if not (_is_int(n) and 2 <= n <= _N_MAX):
+        raise ValueError(f"n must be an integer in [2, 2**63 - 1], got {n!r}")
 
 
 def load_factorization(path) -> BltFactorization:

@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .error_eval import sensitivity_of
-from .params import BltFactorization, RationalBlt, blt_coeffs
+from .params import BltFactorization, RationalBlt, _is_int, blt_coeffs
 from .seq import ltt_dense
 
 RNG_NAME = "philox-u64-as241"
@@ -114,7 +114,7 @@ class NoiseStreamConfig:
     def __post_init__(self):
         for name in ("n", "m", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n < 1:

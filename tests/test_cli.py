@@ -530,6 +530,11 @@ class TestOptimize:
         code, out, _ = run(capsys, "eval", "--blt", out_path)
         assert code == 0
         assert json.loads(out)["ratio_to_opt_lt_toe"] == info["ratio"]
+        # compare's row for the same degree and horizon, to its printed digits
+        code, out, _ = run(capsys, "compare", "--methods", "opt", "--degrees", "3", "--n-grid", "10000")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[-2:] == [f"{info['max_err']:.12g}", f"{info['ratio']:.12g}"]
 
     def test_stop_reason_printed_and_saved(self, capsys, tmp_path):
         out_path = str(tmp_path / "opt.json")
@@ -614,6 +619,14 @@ class TestMalformedInputs:
             (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", "1000,0"], None, 2, "--n-grid"),
             (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", str(2**63)], None, 2, "--n-grid"),
             (["compare", "--methods", "opt", "--degrees", "0", "--n-grid", "100"], None, 2, "--degrees"),
+            # the default start's poles round to 1.0; the caller passed no init
+            (["optimize", "--degree", "26", "--steps", "1000000"], None, 2, "geometric_ladder(degree=26, n=1000000)"),
+            # a horizon below a construction's minimum names the flag
+            (["optimize", "--degree", "2", "--steps", "1"], None, 2, "--steps"),
+            (["build", "--method", "degree1", "--steps", "1"], None, 2, "--steps"),
+            (["build", "--method", "ra", "--degree", "5", "--steps", "0"], None, 2, "--steps"),
+            (["compare", "--methods", "opt", "--degrees", "3", "--n-grid", "1"], None, 2, "--n-grid"),
+            (["compare", "--methods", "degree1", "--degrees", "1", "--n-grid", "1"], None, 2, "--n-grid"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):
@@ -621,8 +634,8 @@ class TestMalformedInputs:
         assert main(["build", "--method", "ra", "--degree", "5", "--steps", "1000", "--out", str(path)]) == 0
         if edit is not None:
             path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        if argv[0] == "optimize":
-            argv += ["--out", str(tmp_path / "opt.json")]
+        if argv[0] in ("optimize", "build"):
+            argv += ["--out", str(tmp_path / "out.json")]
         elif argv[0] in _FILE_FLAG:
             argv = [argv[0], _FILE_FLAG[argv[0]], str(path), *argv[1:]]
         if argv[0] == "noisegen":

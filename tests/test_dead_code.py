@@ -12,7 +12,8 @@ code reads it, outside its own body, from an expression that holds its class
 argument sets a member and does not count, and a read whose receiver's class
 the source does not state counts for no class.
 No linter is part of the toolchain, so the import check lives here too.
-The benchmark tracer wraps package names by ``getattr``; they must resolve.
+The benchmark imports package names from their modules, and its tracer wraps
+them by ``getattr``; both must resolve.
 """
 
 import ast
@@ -272,4 +273,18 @@ def test_benchmark_tracer_names_resolve():
         for module, name, *_ in entries
         if not hasattr(importlib.import_module(f"bltnoise.{module}"), name)
     ]
+    assert missing == []
+
+
+def test_benchmark_imports_resolve():
+    missing = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bltnoise"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
     assert missing == []

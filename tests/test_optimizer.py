@@ -24,7 +24,7 @@ from bltnoise.rational import ra_blt_build
 
 from helpers import optimized_d5, random_factorization
 
-W = 1e-7  # default barrier weight used by the optimizer
+W = OptConfig.barrier_weight
 
 
 def fd_gradient(theta, theta_hat, n, w, h=1e-6):
@@ -174,6 +174,13 @@ class TestSanitize:
                 optimize_blt(OptConfig(degree=2, n=100, init=([0.3, 0.5], [0.4, bad])))
             with pytest.raises(ValueError, match=rf"^init theta\[0\] = {shown} "):
                 optimize_blt(OptConfig(degree=2, n=100, init=([bad, 0.5], [0.4, 0.6])))
+        # no init passed: the default start's theta[23] = 1 - 0.25**23 / sqrt(10**6)
+        # rounds to 1.0, and the message names the start, degree and n
+        with pytest.raises(
+            ValueError,
+            match=r"^the default start geometric_ladder\(degree=26, n=1000000\): theta\[23\] = 1\.0 ",
+        ):
+            optimize_blt(OptConfig(degree=26, n=10**6))
 
 
 class TestOptimizeBlt:
@@ -215,8 +222,9 @@ class TestOptimizeBlt:
         res = optimize_blt(OptConfig(degree=2, n=100))
         assert res.final_max_err / opt_lt_toe(100) <= 1.05
 
-    def test_zero_barrier_weight_runs(self):
-        res = optimize_blt(OptConfig(degree=1, n=100, barrier_weight=0.0))
+    def test_zero_barrier_weight_runs(self, monkeypatch):
+        monkeypatch.setattr(OptConfig, "barrier_weight", 0.0)
+        res = optimize_blt(OptConfig(degree=1, n=100))
         assert np.isfinite(res.final_max_err)
         assert res.final_max_err >= matousek_lb(100) - 1e-9
 
@@ -252,14 +260,30 @@ class TestOptimizeBlt:
             ("n", 1000.5),
             ("n", True),
             ("n", 2**63),
-            ("grad_tol", math.nan),
-            ("barrier_weight", -1.0),
-            ("barrier_weight", math.inf),
         ],
     )
     def test_config_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             OptConfig(**{"degree": 3, "n": 1000, field: value})
+
+    def test_config_takes_no_constants(self):
+        # the gradient tolerance and the barrier weight are constants, not settings
+        for field in ("grad_tol", "barrier_weight"):
+            with pytest.raises(TypeError, match=field):
+                OptConfig(degree=3, n=1000, **{field: 1e-7})
+
+    def test_barrier_weight_is_the_one_loss_gets(self, monkeypatch):
+        # the benchmark reads OptConfig(...).barrier_weight to score the points
+        # the search passed through
+        weights = set()
+
+        def recording_loss(theta, theta_hat, n, w):
+            weights.add(w)
+            return loss(theta, theta_hat, n, w)
+
+        monkeypatch.setattr(optimizer, "loss", recording_loss)
+        optimize_blt(OptConfig(degree=5, n=10**5, max_iters=2))
+        assert weights == {OptConfig(degree=5, n=10**5).barrier_weight}
 
     def test_numpy_integers_read_as_int(self):
         # the horizon reaches int-only code (bintree_value's bit_length) and
@@ -293,8 +317,9 @@ class TestStopReason:
         # the third step was taken, so the result lies past the last entry
         assert res.trace[-1][2] > 0.0
 
-    def test_grad_tol_is_the_converged_stop(self):
-        res = optimize_blt(OptConfig(degree=2, n=100, grad_tol=1e9))
+    def test_grad_tol_is_the_converged_stop(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_GRAD_TOL", 1e9)
+        res = optimize_blt(OptConfig(degree=2, n=100))
         assert res.stop_reason == "grad_tol" and res.converged
         assert res.iterations == len(res.trace) == 1
 

@@ -93,6 +93,8 @@ COMMANDS = [
     ("bad-file-eval", ["-c", BAD_FILE]),
     ("optimize-max-iters-0", ["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0", "--out", "x.json"]),
     ("noisegen-dim-0", ["noisegen", "--blt", "d1.json", "--steps", "5", "--dim", "0", "--out", "x.csv"]),
+    ("optimize-ladder-collapse", ["optimize", "--degree", "26", "--steps", "1000000", "--out", "x.json"]),
+    ("compare-degree1-n-1", ["compare", "--methods", "degree1", "--degrees", "1", "--n-grid", "1"]),
 ]
 
 
