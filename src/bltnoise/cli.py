@@ -24,8 +24,7 @@ from .error_eval import (
 )
 from .optimizer import OptConfig, optimize_blt
 from .params import (
-    _N_MAX,
-    _check_tuned_horizon,
+    _check_horizon,
     blt_coeffs,
     degree1_closed_form,
     load_factorization,
@@ -67,20 +66,16 @@ def _int_list(text: str):
     return [int(tok) for tok in _str_list(text)]
 
 
-def _check_horizon(flag: str, n: int) -> None:
-    if not 1 <= n <= _N_MAX:
-        raise ValueError(f"{flag} must be in [1, {_N_MAX}], got {n}")
-
-
-def _check_tuned_flag(flag: str, n: int) -> None:
+def _check_flag(flag: str, n: int, tuned: bool = False) -> None:
+    """The library's horizon rule on an option's value; the error names the option."""
     try:
-        _check_tuned_horizon(n)
-    except ValueError as exc:  # the library owns the minimum; name the flag
+        _check_horizon(n, tuned)
+    except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_bounds(args) -> int:
-    _check_horizon("--n-max", args.n_max)
+    _check_flag("--n-max", args.n_max)
     if args.log_grid < 0:
         raise ValueError("--log-grid must be >= 0")
     if args.log_grid:
@@ -98,12 +93,12 @@ def _cmd_build(args) -> int:
     if args.method == "ra":
         if args.degree is None:
             raise ValueError("--degree is required for --method ra")
-        _check_horizon("--steps", args.steps)
+        _check_flag("--steps", args.steps)
         fact = ra_blt_build(args.degree, args.steps)
     else:  # degree1
         if args.degree not in (None, 1):
             raise ValueError("--method degree1 only supports --degree 1")
-        _check_tuned_flag("--steps", args.steps)
+        _check_flag("--steps", args.steps, tuned=True)
         fact = degree1_closed_form(args.steps)
     save_factorization(fact, args.out)
     print(
@@ -115,7 +110,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _check_tuned_flag("--steps", args.steps)
+    _check_flag("--steps", args.steps, tuned=True)
     cfg = OptConfig(degree=args.degree, n=args.steps, max_iters=args.max_iters)
     res = optimize_blt(cfg)
     save_factorization(res.factorization, args.out)
@@ -138,7 +133,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.steps is not None:
-        _check_horizon("--steps", args.steps)
+        _check_flag("--steps", args.steps)
     fact = load_factorization(args.blt)
     n = args.steps if args.steps is not None else fact.n
     rep = max_err(fact, n)
@@ -147,6 +142,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_noisegen(args) -> int:
+    _check_flag("--steps", args.steps)
     fact = load_factorization(args.blt)
     kind = PER_STEP if args.mode == "per-step" else PREFIX
     cfg = NoiseStreamConfig(
@@ -176,6 +172,7 @@ def _cmd_noisegen(args) -> int:
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    _check_flag("--steps", args.steps)
     if args.steps > _VERIFY_CAP:
         raise ValueError(f"--steps is capped at {_VERIFY_CAP} for dense verification")
     fact = load_factorization(args.blt)
@@ -217,10 +214,9 @@ def _cmd_compare(args) -> int:
         if meth not in ("ra", "opt", "degree1"):
             raise ValueError(f"unknown method {meth!r}")
     ns = args.n_grid
+    tuned = "opt" in methods or "degree1" in methods
     for n in ns:
-        _check_horizon("--n-grid", n)
-        if "opt" in methods or "degree1" in methods:
-            _check_tuned_flag("--n-grid", n)
+        _check_flag("--n-grid", n, tuned)
     if "opt" in methods and min(args.degrees) < 1:
         raise ValueError(f"--degrees must be >= 1 for --methods opt, got {min(args.degrees)}")
     lines = ["method,degree," + MECH_CSV_HEADER]
@@ -255,13 +251,15 @@ def _cmd_recursive(args) -> int:
     if levels < 1:
         raise ValueError("--levels must be >= 1")
     n1 = fact.n
-    # n1 >= 2 reaches 2**63 within 63 levels; the bound skips a huge power
-    if n1 > 1 and (levels > 63 or n1**levels > _N_MAX):
-        raise ValueError(f"--levels {levels}: the horizon {n1}**{levels} exceeds {_N_MAX}")
+    # each level multiplies the horizon by n1: at n1 >= 2, past 64 levels it
+    # is at least 2**64, which no horizon can be, and the power is not formed
+    if n1 > 1 and levels > 64:
+        raise ValueError(f"--levels {levels}: the horizon {n1}**{levels} is too large")
+    n_total = n1**levels
+    _check_flag(f"--levels {levels}", n_total)
     sens1 = sensitivity_of(fact, n1)
     rn1 = rownorm_of(fact, n1)
     sens, rn_bound = recursive_norms(sens1, rn1, levels)
-    n_total = n1**levels
     n_prime = _draws(n1, levels)
     out = {
         "base": args.base,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_eval import max_err, rownorm_closed, sensitivity_closed
-from .params import BltFactorization, _check_tuned_horizon, _is_int, _residues_one_side, blt_coeffs
+from .params import BltFactorization, _check_horizon, _is_int, _residues_one_side, blt_coeffs
 from .seq import ltt_dense, series_reciprocal
 
 _CSTEP = 1e-20
@@ -51,7 +51,7 @@ class OptConfig:
     def __post_init__(self):
         if not (_is_int(self.degree) and self.degree >= 1):
             raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
-        _check_tuned_horizon(self.n)
+        _check_horizon(self.n, tuned=True)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         self.degree, self.n = int(self.degree), int(self.n)

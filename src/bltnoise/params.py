@@ -152,14 +152,12 @@ class BltFactorization:
                 raise ValueError(f"{name} entries must lie in (0, 1]")
             if np.unique(arr).size != arr.size:
                 raise ValueError(f"{name} entries must be pairwise distinct")
-        n = self.n
-        if not (_is_int(n) and 1 <= n <= _N_MAX):
-            raise ValueError(f"n must be a positive integer <= 2**63 - 1, got {n!r}")
+        _check_horizon(self.n)
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
         self.theta = theta
         self.theta_hat = theta_hat
-        self.n = int(n)
+        self.n = int(self.n)
         self.meta = dict(self.meta or {})
         if self.omega is None:
             self.omega = _residues_one_side(theta, theta_hat)
@@ -199,7 +197,7 @@ def degree1_closed_form(n: int) -> BltFactorization:
     is ``1 - a^2 x / (1 - (lam - a^2) x)``, so theta = lam - a^2 and
     theta_hat = lam.  Squared sensitivity is bounded by 1 + a^4/(1 - lam^2).
     """
-    _check_tuned_horizon(n)
+    _check_horizon(n, tuned=True)
     lam = 1.0 - n ** (-2.0 / 3.0)
     a2 = n ** (-1.0 / 3.0) * (1.0 - n ** (-1.0 / 3.0))
     return BltFactorization([lam - a2], [lam], n, method="degree1")
@@ -214,10 +212,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_tuned_horizon(n) -> None:
-    """Check that degree1 and opt can be tuned to ``n``: at n = 1 their poles fall on 0."""
-    if not (_is_int(n) and 2 <= n <= _N_MAX):
-        raise ValueError(f"n must be an integer in [2, 2**63 - 1], got {n!r}")
+def _check_horizon(n, tuned: bool = False) -> None:
+    """The one rule for a horizon that rows or arrays are formed over: an
+    integer in [1, 2**63 - 1].  A ``tuned`` horizon, one that degree1 and opt
+    are built for, starts at 2: at n = 1 their poles fall on 0."""
+    least = 2 if tuned else 1
+    if not (_is_int(n) and least <= n <= _N_MAX):
+        raise ValueError(f"n must be a positive integer in [{least}, 2**63 - 1], got {n!r}")
 
 
 def load_factorization(path) -> BltFactorization:
@@ -230,8 +231,8 @@ def load_factorization(path) -> BltFactorization:
     ``newman_sqrt`` check the values.  A malformed file raises one
     ``ValueError`` naming the file and the field.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("must hold a JSON object")
         for key in ("degree", "theta", "theta_hat", "n", "meta"):

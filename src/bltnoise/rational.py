@@ -114,25 +114,18 @@ def _interlaced_zeros(offs: np.ndarray, weights: np.ndarray, A: float) -> np.nda
 
     In the y coordinate the approximant is A - sum_k w_k/(offs_k - y), the
     ``SqrtApproxTerms`` form, with all w_k > 0, hence strictly decreasing between
-    consecutive ascending pole offsets; bisection in log y resolves each
-    bracket.
+    consecutive ascending pole offsets; one bisection in log y resolves every
+    bracket at once.  ``math.exp`` and ``math.log`` map between y and log y:
+    numpy's vectorized ``exp`` rounds differently and moves zeros by ulps.
     """
-
-    def g(y: float) -> float:
-        return A - float(np.sum(weights / (offs - y)))
-
-    zeros = np.empty(offs.size - 1)
-    for j in range(offs.size - 1):
-        lo = math.log(offs[j])
-        hi = math.log(offs[j + 1])
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if g(math.exp(mid)) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        zeros[j] = math.exp(0.5 * (lo + hi))
-    return zeros
+    logs = np.array([math.log(o) for o in offs])
+    lo, hi = logs[:-1], logs[1:]
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        y = np.array([math.exp(t) for t in mid])
+        above = A - np.sum(weights / (offs - y[:, None]), axis=1) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.array([math.exp(t) for t in 0.5 * (lo + hi)])
 
 
 def ra_blt_build(d: int, n: int) -> BltFactorization:

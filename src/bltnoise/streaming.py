@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .error_eval import sensitivity_of
-from .params import BltFactorization, RationalBlt, _is_int, blt_coeffs
+from .params import BltFactorization, RationalBlt, _check_horizon, _is_int, blt_coeffs
 from .seq import ltt_dense
 
 RNG_NAME = "philox-u64-as241"
@@ -117,8 +117,7 @@ class NoiseStreamConfig:
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_horizon(self.n)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -627,6 +627,9 @@ class TestMalformedInputs:
             (["build", "--method", "ra", "--degree", "5", "--steps", "0"], None, 2, "--steps"),
             (["compare", "--methods", "opt", "--degrees", "3", "--n-grid", "1"], None, 2, "--n-grid"),
             (["compare", "--methods", "degree1", "--degrees", "1", "--n-grid", "1"], None, 2, "--n-grid"),
+            (["noisegen", "--steps", "0", "--dim", "1"], None, 2, "--steps"),
+            (["verify", "--steps", "0", "--dim", "1"], None, 2, "--steps"),
+            (["noisegen", "--steps", str(2**63), "--dim", "1"], None, 2, "--steps"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bltnoise.optimizer import OptConfig
 from bltnoise.params import (
     BltFactorization,
     RationalBlt,
@@ -15,6 +16,7 @@ from bltnoise.params import (
     save_factorization,
 )
 from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, series_reciprocal
+from bltnoise.streaming import NoiseStreamConfig
 
 from helpers import cauchy_product, random_factorization, random_rational
 
@@ -242,6 +244,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_factorization(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b'{"degree": 1, "theta": [0.5', np.random.default_rng(0).bytes(100)],
+        ids=["empty", "truncated", "random-bytes"],
+    )
+    def test_unparsable_file_is_named(self, tmp_path, content):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^factorization file {path}: "):
+            load_factorization(path)
+
 
 class TestOneOwner:
     """``BltFactorization`` owns the checks on n, the method and the roots:
@@ -276,3 +289,23 @@ class TestOneOwner:
         with pytest.raises(ValueError) as loaded:
             load_factorization(path)
         assert str(loaded.value) == f"factorization file {path}: {direct.value}"
+
+    @pytest.mark.parametrize("n", [0, 1, -5, 2**63, 10**30])
+    def test_one_horizon_rule(self, n):
+        """Every owner of a horizon words its error the same way; degree1 and
+        opt, tuned to n, start the range at 2."""
+        fact = BltFactorization(**self.GOOD)
+        owners = {
+            1: [
+                lambda: BltFactorization(**{**self.GOOD, "n": n}),
+                lambda: NoiseStreamConfig(fact, n, 1, seed=0, zeta=1.0),
+            ],
+            2: [lambda: degree1_closed_form(n), lambda: OptConfig(degree=3, n=n)],
+        }
+        for least, calls in owners.items():
+            if least <= n < 2**63:
+                continue
+            for call in calls:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"n must be a positive integer in [{least}, 2**63 - 1], got {n}"

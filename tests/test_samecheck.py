@@ -52,3 +52,14 @@ def test_unknown_changed_name_is_refused(capsys):
         samecheck.main(["--against", "HEAD", "--changed", "no-such-command"])
     assert exc.value.code == 2
     assert "--changed: unknown command(s) no-such-command" in capsys.readouterr().err
+
+
+def test_a_command_that_runs_too_long_is_never_same(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(samecheck, "TIMEOUT", 0.5)
+    monkeypatch.setattr(samecheck, "COMMANDS", [("sleep", ["-c", "import time; time.sleep(30)"])])
+    work = tmp_path / "work"
+    work.mkdir()
+    assert samecheck.compare(ROOT, ROOT, work, set()) is False
+    line = json.loads(capsys.readouterr().out)
+    assert line["same"] is False and line["exit"] == "timeout"
+    assert line["timed_out"] == ["rev", "head"]

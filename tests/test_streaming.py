@@ -110,6 +110,8 @@ class TestNoiseStreamConfig:
         with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 0, 1, seed=0, zeta=1.0)
         with pytest.raises(ValueError):
+            NoiseStreamConfig(fact, 2**63, 1, seed=0, zeta=1.0)
+        with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 8, 0, seed=0, zeta=1.0)
         with pytest.raises(ValueError):
             NoiseStreamConfig(fact, 8, 1, seed=-1, zeta=1.0)

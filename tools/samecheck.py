@@ -8,8 +8,11 @@ trees, as ``python -m bltnoise.cli`` (or ``python -c`` for the in-process
 shard) with that tree's ``src`` on ``PYTHONPATH``, in a per-tree work
 directory.  The check compares the exit code and the sha256 of stdout, of
 stderr (with the tree's root path replaced by ``<tree>``) and of every file
-the command writes, sidecars included.  It prints one JSON line per command
-and exits 1 when a command differs that ``--changed`` does not mark.
+the command writes, sidecars included.  A command that runs past
+``TIMEOUT`` seconds is killed; a side that timed out is listed under
+``timed_out`` and the command is never reported the same.  It prints one JSON
+line per command and exits 1 when a command differs that ``--changed`` does
+not mark.
 ``--changed NAME`` marks a command whose output the change means to move,
 such as a bad-input command whose error line is reworded; the report names
 every marked command, and a marked command does not fail the check.
@@ -30,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# seconds per command run, well above the slowest row (a few seconds)
+TIMEOUT = 60
 
 SHARD = """
 import sys
@@ -95,6 +101,12 @@ COMMANDS = [
     ("noisegen-dim-0", ["noisegen", "--blt", "d1.json", "--steps", "5", "--dim", "0", "--out", "x.csv"]),
     ("optimize-ladder-collapse", ["optimize", "--degree", "26", "--steps", "1000000", "--out", "x.json"]),
     ("compare-degree1-n-1", ["compare", "--methods", "degree1", "--degrees", "1", "--n-grid", "1"]),
+    # one past the largest horizon; an unbounded stream goes to /dev/null
+    ("noisegen-steps-2**63",
+     ["noisegen", "--blt", "ra5.json", "--steps", str(2**63), "--dim", "1", "--out", "/dev/null"]),
+    ("eval-empty-file", ["eval", "--blt", "/dev/null"]),
+    # a degree whose theta_hat moves if the zeros' bisection uses numpy's exp
+    ("build-ra22", ["build", "--method", "ra", "--degree", "22", "--steps", "1000", "--out", "ra22.json"]),
 ]
 
 
@@ -114,12 +126,16 @@ def run(tree: Path, work: Path, argv: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     before = {p.name: p.stat().st_mtime_ns for p in work.iterdir()}
     cmd = [sys.executable] + (argv if argv[0] == "-c" else ["-m", "bltnoise.cli"] + argv)
-    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    stderr = proc.stderr.replace(str(tree).encode(), b"<tree>")
+    try:
+        proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              timeout=TIMEOUT)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        code, stdout, stderr = "timeout", exc.stdout or b"", exc.stderr or b""
     digests = {
-        "exit": proc.returncode,
-        "stdout": hashlib.sha256(proc.stdout).hexdigest(),
-        "stderr": hashlib.sha256(stderr).hexdigest(),
+        "exit": code,
+        "stdout": hashlib.sha256(stdout).hexdigest(),
+        "stderr": hashlib.sha256(stderr.replace(str(tree).encode(), b"<tree>")).hexdigest(),
     }
     for p in sorted(work.iterdir()):
         if before.get(p.name) != p.stat().st_mtime_ns:
@@ -140,9 +156,13 @@ def compare(rev_tree: Path, head_tree: Path, work: Path, changed: set) -> bool:
         rev = run(rev_tree, rev_work, argv)
         head = run(head_tree, head_work, argv)
         differs = sorted(k for k in rev.keys() | head.keys() if rev.get(k) != head.get(k))
+        timed_out = [side for side, d in (("rev", rev), ("head", head)) if d["exit"] == "timeout"]
+        same = not differs and not timed_out
         marked = name in changed
-        ok &= marked or not differs
-        line = {"command": name, "same": not differs, "marked": marked, "differs": differs, "exit": head["exit"]}
+        ok &= marked or same
+        line = {"command": name, "same": same, "marked": marked, "differs": differs, "exit": head["exit"]}
+        if timed_out:
+            line["timed_out"] = timed_out
         print(json.dumps(line), flush=True)
     return ok
 
