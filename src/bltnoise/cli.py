@@ -31,7 +31,7 @@ from .params import (
     save_factorization,
 )
 from .rational import ra_blt_build
-from .recursive import _draws, comb_dense, comc_dense, recursive_norms
+from .recursive import _check_levels, comb_dense, comc_dense, recursive_norms
 from .seq import MATRIX_CAP, ltt_apply_dense, ltt_dense, series_reciprocal
 from .streaming import (
     PER_STEP,
@@ -247,20 +247,15 @@ def _cmd_compare(args) -> int:
 
 def _cmd_recursive(args) -> int:
     fact = load_factorization(args.base)
-    levels = args.levels
-    if levels < 1:
-        raise ValueError("--levels must be >= 1")
-    n1 = fact.n
-    # each level multiplies the horizon by n1: at n1 >= 2, past 64 levels it
-    # is at least 2**64, which no horizon can be, and the power is not formed
-    if n1 > 1 and levels > 64:
-        raise ValueError(f"--levels {levels}: the horizon {n1}**{levels} is too large")
+    levels, n1 = args.levels, fact.n
+    try:
+        n_prime = _check_levels(n1, levels)
+    except ValueError as exc:
+        raise ValueError(f"--levels with base {args.base}: {exc}") from None
     n_total = n1**levels
-    _check_flag(f"--levels {levels}", n_total)
     sens1 = sensitivity_of(fact, n1)
     rn1 = rownorm_of(fact, n1)
     sens, rn_bound = recursive_norms(sens1, rn1, levels)
-    n_prime = _draws(n1, levels)
     out = {
         "base": args.base,
         "n1": n1,

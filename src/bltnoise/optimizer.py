@@ -36,7 +36,6 @@ from .seq import ltt_dense, series_reciprocal
 _CSTEP = 1e-20
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
-_COLLISION_EPS = 1e-9
 _GRAD_TOL = 1e-9
 
 
@@ -145,16 +144,6 @@ def gradient(theta, theta_hat, n: int, barrier_weight: float) -> np.ndarray:
     return np.imag(val) / _CSTEP
 
 
-def _sanitize(vec: np.ndarray, eps: float) -> np.ndarray:
-    """Separate near-coincident roots by bumping the later one by eps."""
-    out = vec.copy()
-    order = np.argsort(out)
-    for a, b in zip(order[:-1], order[1:]):
-        if out[b] - out[a] < 1e-12:
-            out[b] = out[a] + eps
-    return out
-
-
 def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
@@ -191,30 +180,27 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
     d, n, w = cfg.degree, cfg.n, cfg.barrier_weight
     if cfg.init is None:
         theta0, theta_hat0 = geometric_ladder(d, n)
-        start = f"the default start geometric_ladder(degree={d}, n={n}):"
+        start = f"the default start geometric_ladder(degree={d}, n={n})"
+        entry = f"{start}: "
     else:
         theta0, theta_hat0, _ = _trial_point(*cfg.init)
-        start = "init"
+        start, entry = "init", "init "
     if theta0.size != d or theta_hat0.size != d:
         raise ValueError("initialization size does not match degree")
     for name, p0 in (("theta", theta0), ("theta_hat", theta_hat0)):
         outside = np.flatnonzero(~((p0 > 0.0) & (p0 < 1.0)))
         if outside.size:
             i = int(outside[0])
-            raise ValueError(f"{start} {name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
-
-    def params_of(x):
-        p = _sigmoid(x)
-        return _sanitize(p[:d], _COLLISION_EPS), _sanitize(p[d:], _COLLISION_EPS)
+            raise ValueError(f"{entry}{name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
 
     def f_of(x):
-        th, thh = params_of(x)
-        return loss(th, thh, n, w)
+        p = _sigmoid(x)
+        return loss(p[:d], p[d:], n, w)
 
     x = _logit(np.concatenate([theta0, theta_hat0]))
     f_cur = f_of(x)
     if not np.isfinite(f_cur):
-        raise ValueError("initialization is infeasible (infinite loss)")
+        raise ValueError(f"{start} is infeasible (infinite loss)")
 
     H = np.eye(2 * d)
     prev_x = prev_g = None
@@ -222,15 +208,14 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
     trace = []
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        th, thh = params_of(x)
+        p = _sigmoid(x)
         try:
-            g_p = gradient(th, thh, n, w)
+            g_p = gradient(p[:d], p[d:], n, w)
         except ValueError:
             trace.append((f_cur, math.nan, 0.0, 0))
             stop_reason = "gradient_failed"
             break
-        p_all = np.concatenate([th, thh])
-        g_x = g_p * p_all * (1.0 - p_all)
+        g_x = g_p * p * (1.0 - p)
         g_max = float(np.max(np.abs(g_x)))
         if np.max(np.abs(g_p)) <= _GRAD_TOL:
             trace.append((f_cur, g_max, 0.0, 0))
@@ -271,9 +256,9 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         prev_x, prev_g = x, g_x
         x, f_cur = x_new, f_new
 
-    th, thh = params_of(x)
+    p = _sigmoid(x)
     meta = {"n_target": n, "iterations": iterations, "stop_reason": stop_reason}
-    fact = BltFactorization(th, thh, n, method="opt", meta=meta)
+    fact = BltFactorization(p[:d], p[d:], n, method="opt", meta=meta)
     # the evaluator of `blt eval`, so a saved file reports the same ratio
     rep = max_err(fact, n)
     fact.meta["final_ratio"] = rep.ratio

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .params import BltFactorization, blt_coeffs
+from .params import BltFactorization, _check_horizon, _is_int, blt_coeffs
 from .seq import MATRIX_CAP, ltt_dense
 from .streaming import _TILE_VALUES
 
@@ -68,6 +68,20 @@ def _draws(n1: int, level: int) -> int:
     """Noise rows a level block reads, its trailing carries included:
     cnt(1) = n1 and cnt(l) = n1 * (cnt(l - 1) + 1), so cnt(l) = n1 + ... + n1^l."""
     return n1 * (n1**level - 1) // (n1 - 1) if n1 > 1 else level
+
+
+def _check_levels(n1: int, levels) -> int:
+    """The one rule for a composition's size: ``levels`` in [1, 63] (the
+    batched block adds an array axis a level, and numpy stops at 64), and the
+    noise rows it draws, at least n1**levels, a horizon.  Returns that count."""
+    if not (_is_int(levels) and 1 <= levels <= 63):
+        raise ValueError(f"levels must be an integer in [1, 63], got {levels!r}")
+    draws = _draws(n1, levels)
+    try:
+        _check_horizon(draws)
+    except ValueError:
+        raise ValueError(f"levels = {levels} of a {n1}-step base draw {draws} rows, past 2**63 - 1") from None
+    return draws
 
 
 def _block_level(n1: int, levels: int, m: int) -> int:
@@ -144,10 +158,9 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     the base, (levels - lb) n1 carry rows and one block; each block is a fresh
     array, since the rows yielded are views into it.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
+    _check_levels(n1, levels)
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(noise_source, np.ndarray):

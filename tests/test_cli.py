@@ -630,6 +630,15 @@ class TestMalformedInputs:
             (["noisegen", "--steps", "0", "--dim", "1"], None, 2, "--steps"),
             (["verify", "--steps", "0", "--dim", "1"], None, 2, "--steps"),
             (["noisegen", "--steps", str(2**63), "--dim", "1"], None, 2, "--steps"),
+            # a one-step base: each level adds one draw, so only the level cap binds
+            (
+                ["recursive", "--levels", str(10**20)],
+                lambda p: {"degree": 1, "theta": [0.5], "theta_hat": [0.75], "n": 1, "meta": {"method": "manual"}},
+                2,
+                "--levels",
+            ),
+            # the default start's theta_hat[17] rounds onto its theta[17]: the loss is +inf
+            (["optimize", "--degree", "18", "--steps", "1000000"], None, 2, "geometric_ladder(degree=18, n=1000000)"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):

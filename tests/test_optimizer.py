@@ -12,7 +12,6 @@ from bltnoise.error_eval import matousek_lb, max_err, opt_lt_toe
 from bltnoise.optimizer import (
     OptConfig,
     _loss_core,
-    _sanitize,
     geometric_ladder,
     gradient,
     loss,
@@ -135,30 +134,23 @@ class TestLoss:
 
 
 class TestSanitize:
-    def test_collision_bumped(self):
-        out = _sanitize(np.array([0.5, 0.5, 0.7]), 1e-9)
-        assert out[1] == pytest.approx(0.5 + 1e-9)
-        assert out[0] == 0.5 and out[2] == 0.7
+    """How ``optimize_blt`` screens its start: nothing moves a root, so a
+    start the loss scores +inf is refused by name."""
 
-    def test_chain_of_collisions(self):
-        out = _sanitize(np.array([0.4, 0.4, 0.4]), 1e-9)
-        assert len(np.unique(out)) == 3
-
-    def test_optimizer_accepts_colliding_init(self):
-        # the bumped pole pair leaves a 1e-9 window; an offset root inside it
-        # keeps the ladders interlaced, so the run proceeds
+    def test_colliding_init_is_infeasible(self):
+        # a repeated pole divides the residues by zero, and the loss is +inf
         cfg = OptConfig(
             degree=2,
             n=100,
             max_iters=60,
             init=([0.3, 0.3], [0.3 + 5e-10, 0.6]),
         )
-        res = optimize_blt(cfg)
-        assert np.isfinite(res.final_max_err)
+        with pytest.raises(ValueError, match="^init is infeasible"):
+            optimize_blt(cfg)
 
     def test_collision_that_breaks_interlacing_is_rejected(self):
-        # after the bump both poles sit below both roots, a residue goes
-        # negative, and the barrier makes the start point infeasible
+        # a repeated pole, and both poles below both roots: the loss is +inf,
+        # so the start point is infeasible
         cfg = OptConfig(degree=2, n=100, init=([0.3, 0.3], [0.35, 0.36]))
         with pytest.raises(ValueError, match="infeasible"):
             optimize_blt(cfg)
@@ -302,6 +294,7 @@ class TestStopReason:
             (3, 10**4, 40, 1.0088147136953318),
             (4, 10**4, 96, 1.0012772795252223),
             (5, 10**5, 117, 1.0011540182532237),
+            (10, 10**5, 360, 1.0000615664426622),
         ],
     )
     def test_stops_at_the_plateau(self, degree, n, iterations, ratio):

@@ -207,6 +207,15 @@ class TestRecursiveStream:
         with pytest.raises(ValueError):
             recursive_stream(lambda: None, 2, 0, 1, iter([]))
 
+    def test_one_step_base_levels_capped_at_call(self):
+        # a one-step base draws one row a level, so only the level cap binds:
+        # 64 levels would pass numpy's 64 array axes, and 10**12 levels must
+        # be refused before anything counts up to them
+        base = blt_base_factory(random_factorization(np.random.default_rng(25), 1, n=2), 2)
+        for levels in (64, 10**12):
+            with pytest.raises(ValueError, match=rf"^levels must be an integer in \[1, 63\], got {levels}$"):
+                recursive_stream(base, 1, levels, 2, iter([]))
+
 
 class TestBlockStream:
     """The streamer computes its bottom levels one batched block at a time."""

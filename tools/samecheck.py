@@ -56,6 +56,16 @@ with open("bad.json", "w") as fh:
 sys.exit(main(["eval", "--blt", "bad.json"]))
 """
 
+# a one-step manual base, then ``blt recursive`` composing it 10**20 times
+ONE_STEP_BASE = """
+import json, sys
+from bltnoise.cli import main
+base = {"degree": 1, "theta": [0.5], "theta_hat": [0.75], "n": 1, "meta": {"method": "manual"}}
+with open("n1.json", "w") as fh:
+    json.dump(base, fh)
+sys.exit(main(["recursive", "--base", "n1.json", "--levels", str(10**20)]))
+"""
+
 # (name, argv): argv for ``blt``, or ("-c", source) for a Python snippet.
 # The build commands write the factorization files that later commands read.
 COMMANDS = [
@@ -95,6 +105,7 @@ COMMANDS = [
     ("compare", ["compare", "--methods", "opt,ra,degree1", "--degrees", "3,5", "--n-grid", "1000,100000"]),
     ("optimize-d3", ["optimize", "--degree", "3", "--steps", "2000", "--out", "opt3.json"]),
     ("optimize-d5", ["optimize", "--degree", "5", "--steps", "100000", "--out", "opt5.json"]),
+    ("optimize-d10", ["optimize", "--degree", "10", "--steps", "100000", "--out", "opt10.json"]),
     # bad input: exit 2 and one error line on stderr
     ("bad-file-eval", ["-c", BAD_FILE]),
     ("optimize-max-iters-0", ["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0", "--out", "x.json"]),
@@ -105,6 +116,7 @@ COMMANDS = [
     ("noisegen-steps-2**63",
      ["noisegen", "--blt", "ra5.json", "--steps", str(2**63), "--dim", "1", "--out", "/dev/null"]),
     ("eval-empty-file", ["eval", "--blt", "/dev/null"]),
+    ("recursive-n1-levels", ["-c", ONE_STEP_BASE]),
     # a degree whose theta_hat moves if the zeros' bisection uses numpy's exp
     ("build-ra22", ["build", "--method", "ra", "--degree", "22", "--steps", "1000", "--out", "ra22.json"]),
 ]
