@@ -58,8 +58,7 @@ def comc_dense(C1, C2) -> np.ndarray:
 def recursive_norms(base_sens: float, base_rownorm: float, levels: int):
     """(sqrt(l) * sensitivity, sqrt(l) * row norm); the latter is an upper
     bound because the shift matrix drops the base factor's last row."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _check_level_count(levels)
     root = math.sqrt(levels)
     return root * base_sens, root * base_rownorm
 
@@ -70,12 +69,17 @@ def _draws(n1: int, level: int) -> int:
     return n1 * (n1**level - 1) // (n1 - 1) if n1 > 1 else level
 
 
-def _check_levels(n1: int, levels) -> int:
-    """The one rule for a composition's size: ``levels`` in [1, 63] (the
-    batched block adds an array axis a level, and numpy stops at 64), and the
-    noise rows it draws, at least n1**levels, a horizon.  Returns that count."""
+def _check_level_count(levels) -> None:
+    """``levels`` in [1, 63]: the batched block adds an array axis a level, and
+    numpy stops at 64."""
     if not (_is_int(levels) and 1 <= levels <= 63):
         raise ValueError(f"levels must be an integer in [1, 63], got {levels!r}")
+
+
+def _check_levels(n1: int, levels) -> int:
+    """The one rule for a composition's size: ``_check_level_count``, and the
+    noise rows it draws, at least n1**levels, a horizon.  Returns that count."""
+    _check_level_count(levels)
     draws = _draws(n1, levels)
     try:
         _check_horizon(draws)
@@ -158,11 +162,13 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     the base, (levels - lb) n1 carry rows and one block; each block is a fresh
     array, since the rows yielded are views into it.
     """
-    if n1 < 1:
-        raise ValueError("n1 must be >= 1")
+    for name, value in (("n1", n1), ("m", m)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    n1, m = int(n1), int(m)  # Python ints, so that the draw count cannot wrap
     _check_levels(n1, levels)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if isinstance(noise_source, np.ndarray):
         if noise_source.ndim != 2 or noise_source.shape[1] != m:
             raise ValueError(f"noise array must have shape (rows, {m}), got {noise_source.shape}")

@@ -122,7 +122,8 @@ class NoiseStreamConfig:
             raise ValueError("m must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+        real = _is_int(self.zeta) or isinstance(self.zeta, (float, np.floating))
+        if not (real and math.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError(f"zeta must be a finite number >= 0, got {self.zeta!r}")
         if self.output_kind not in (PER_STEP, PREFIX):
             raise ValueError(f"output_kind must be '{PER_STEP}' or '{PREFIX}'")

@@ -252,6 +252,9 @@ class TestOptimizeBlt:
             ("n", 1000.5),
             ("n", True),
             ("n", 2**63),
+            ("max_iters", True),
+            ("max_iters", 2.5),
+            ("max_iters", "3"),
             ("grad_tol", float("nan")),
             ("barrier_weight", -1.0),
             ("barrier_weight", float("inf")),

@@ -110,8 +110,9 @@ class TestRecursiveNorms:
         assert rown == pytest.approx(1.8)
 
     def test_levels_validated(self):
-        with pytest.raises(ValueError):
-            recursive_norms(1.0, 1.0, 0)
+        for levels in (0, 64, 10**20, 2.5):
+            with pytest.raises(ValueError):
+                recursive_norms(1.0, 1.0, levels)
 
     def test_dense_norms_match(self):
         """Dense column norms realize sqrt(l) exactly; row norms stay below."""
@@ -269,6 +270,15 @@ class TestBlockStream:
         fact = random_factorization(np.random.default_rng(15), 1, n=2)
         with pytest.raises(ValueError, match="m must be >= 1"):
             recursive_stream(blt_base_factory(fact, 0), 2, 2, 0, iter([]))
+
+    @pytest.mark.parametrize("name, value", [("n1", 4.0), ("n1", True), ("n1", "4"), ("m", 2.5), ("m", True)])
+    def test_sizes_must_be_integers(self, name, value):
+        fact = random_factorization(np.random.default_rng(15), 1, n=4)
+        args = {"n1": 4, "m": 2}
+        args[name] = value
+        z = np.zeros((20, 2))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            recursive_stream(blt_base_factory(fact, 2), args["n1"], 2, args["m"], z)
 
 
 def comb_apply(B1, B_inner, zd):

@@ -140,6 +140,12 @@ class TestNoiseStreamConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             NoiseStreamConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_zeta_must_be_a_number(self, value):
+        fact = BltFactorization([0.5], [0.75], 8)
+        with pytest.raises(ValueError, match=r"^zeta must be a finite number >= 0, got "):
+            NoiseStreamConfig(fact, 8, 1, seed=0, zeta=value)
+
     def test_numpy_integers_read_as_int(self):
         fact = BltFactorization([0.5], [0.75], 8)
         cfg = NoiseStreamConfig(fact, np.int64(8), np.int32(2), seed=np.uint64(3), zeta=1.0)

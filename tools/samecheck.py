@@ -46,6 +46,20 @@ rows = np.array(list(noise_stream(cfg, columns=[3, 127, 128, 250, 299])))
 sys.stdout.buffer.write(rows.tobytes())
 """
 
+# the library's recursive streamer at sizes where both the batched block
+# (levels 1-2) and the carry recursion (level 3) run, from an array and from
+# an iterator over the same rows
+RECURSIVE_STREAM = """
+import sys
+import numpy as np
+from bltnoise import blt_base_factory, ra_blt_build, recursive_stream
+base = blt_base_factory(ra_blt_build(5, 12), 64)
+z = np.random.default_rng(7).standard_normal((1884, 64))
+for source in (z, iter(z)):
+    rows = np.array(list(recursive_stream(base, 12, 3, 64, source)))
+    sys.stdout.buffer.write(rows.tobytes())
+"""
+
 # a factorization file with one bad field, then ``blt eval`` on it
 BAD_FILE = """
 import json, sys
@@ -100,6 +114,7 @@ COMMANDS = [
     ("shard-300", ["-c", SHARD]),
     ("verify", ["verify", "--blt", "ra5.json", "--steps", "2000", "--dim", "3"]),
     ("recursive", ["recursive", "--base", "ra3.json", "--levels", "3"]),
+    ("recursive-stream", ["-c", RECURSIVE_STREAM]),
     ("bounds-4096", ["bounds", "--n-max", "4096"]),
     ("bounds-log-grid", ["bounds", "--n-max", str(10**12), "--log-grid", "60"]),
     ("compare", ["compare", "--methods", "opt,ra,degree1", "--degrees", "3,5", "--n-grid", "1000,100000"]),
