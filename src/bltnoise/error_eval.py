@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BltFactorization
+from .params import BltFactorization, _check_horizon
 from .seq import optimal_coeffs
 
 EULER_GAMMA = 0.5772156649015329
@@ -157,6 +157,7 @@ def max_err(fact: BltFactorization, n: int | None = None) -> MaxErrReport:
     """MaxErr report for a factorization evaluated over ``n`` steps."""
     if n is None:
         n = fact.n
+    _check_horizon(n)
     sens = sensitivity_of(fact, n)
     rn = rownorm_of(fact, n)
     return MaxErrReport(

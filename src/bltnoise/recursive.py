@@ -8,13 +8,13 @@ steps into a pair for n1*n2 steps:
 
 where S is the down-shift matrix.  Iterating with the same base gives
 horizon n1^l with squared column norms adding exactly (sensitivity grows as
-sqrt(l)) and row norms bounded the same way.  The streaming form is the
-recursion that comb defines: a level-l block runs n1 level-(l-1) blocks and
-draws one carry row after each, whose B1 output offsets the blocks after it.
-The bottom lb levels are one batched block, as many as fit the noise engine's
-``_TILE_VALUES`` budget of n1^lb x m values: it draws its noise in one call
-and computes its rows by reshapes and stacked n1 x n1 products.  Live state is
-the n1 x n1 base, (levels - lb) n1 carry rows of width m and one block.
+sqrt(l)).  The streaming form is the recursion that comb defines: a level-l
+block runs n1 level-(l-1) blocks and draws one carry row after each, whose B1
+output offsets the blocks after it.  The bottom lb levels are one batched
+block, as many as fit the noise engine's ``_TILE_VALUES`` budget of n1^lb x m
+values: it draws its noise in one call and computes its rows by reshapes and
+stacked n1 x n1 products.  Live state is the n1 x n1 base, (levels - lb) n1
+carry rows of width m and one block.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from .error_eval import rownorm_of, sensitivity_of
 from .params import BltFactorization, _check_horizon, _is_int, blt_coeffs
 from .seq import MATRIX_CAP, ltt_dense
 from .streaming import _TILE_VALUES
@@ -55,12 +56,16 @@ def comc_dense(C1, C2) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def recursive_norms(base_sens: float, base_rownorm: float, levels: int):
-    """(sqrt(l) * sensitivity, sqrt(l) * row norm); the latter is an upper
-    bound because the shift matrix drops the base factor's last row."""
-    _check_level_count(levels)
-    root = math.sqrt(levels)
-    return root * base_sens, root * base_rownorm
+def recursive_norms(fact: BltFactorization, n1: int, levels: int):
+    """Exact (sensitivity, row norm) of ``levels`` compositions of ``fact``'s
+    n1-step base, the factors ``recursive_stream(blt_base_factory(fact, m),
+    n1, levels, m, Z)`` streams.  Squared column norms add, so sensitivity
+    is sqrt(l) times the base's.  A row of comb(B1, B) is a row of B next to
+    row k - 1 of B1, or zeros at k = 0, and B1's row norms grow with the row,
+    so each level above the first adds the squared row norm of n1 - 1 steps."""
+    _check_levels(n1, levels)
+    row_sq = rownorm_of(fact, n1) ** 2 + (levels - 1) * rownorm_of(fact, n1 - 1) ** 2
+    return math.sqrt(levels) * sensitivity_of(fact, n1), math.sqrt(row_sq)
 
 
 def _draws(n1: int, level: int) -> int:
@@ -69,17 +74,23 @@ def _draws(n1: int, level: int) -> int:
     return n1 * (n1**level - 1) // (n1 - 1) if n1 > 1 else level
 
 
-def _check_level_count(levels) -> None:
-    """``levels`` in [1, 63]: the batched block adds an array axis a level, and
-    numpy stops at 64."""
+def _check_size(name: str, value) -> int:
+    """An integer >= 1, returned as a Python int so that counts cannot wrap."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
+
+
+def _check_levels(n1, levels) -> int:
+    """The one rule for a composition's size: an integer n1 >= 1, ``levels``
+    in [1, 63] (the batched block adds an array axis a level, and numpy stops
+    at 64), and the noise rows it draws, at least n1**levels, a horizon.
+    Returns that count."""
+    n1 = _check_size("n1", n1)
     if not (_is_int(levels) and 1 <= levels <= 63):
         raise ValueError(f"levels must be an integer in [1, 63], got {levels!r}")
-
-
-def _check_levels(n1: int, levels) -> int:
-    """The one rule for a composition's size: ``_check_level_count``, and the
-    noise rows it draws, at least n1**levels, a horizon.  Returns that count."""
-    _check_level_count(levels)
     draws = _draws(n1, levels)
     try:
         _check_horizon(draws)
@@ -162,13 +173,8 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     the base, (levels - lb) n1 carry rows and one block; each block is a fresh
     array, since the rows yielded are views into it.
     """
-    for name, value in (("n1", n1), ("m", m)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
-    n1, m = int(n1), int(m)  # Python ints, so that the draw count cannot wrap
     _check_levels(n1, levels)
+    n1, m = int(n1), _check_size("m", m)
     if isinstance(noise_source, np.ndarray):
         if noise_source.ndim != 2 or noise_source.shape[1] != m:
             raise ValueError(f"noise array must have shape (rows, {m}), got {noise_source.shape}")
@@ -218,11 +224,18 @@ def theorem2_params(n: int):
 
     Base size n1 ~ ln(n) (clamped to >= 5), base degree sufficient for
     horizon n1, and enough levels to cover n: levels = ceil(ln n / ln n1).
+    Refuses an n whose composition draws past 2**63 - 1 noise rows (from
+    about 2**59), which ``recursive_stream`` and ``blt recursive`` refuse.
     """
+    _check_horizon(n)
     if n < 25:
         raise ValueError("n must be >= 25")
     ln_n = math.log(n)
     n1 = max(5, math.ceil(ln_n))
     d = math.ceil(2.0 + ((12.0 + 4.0 * math.log(n1)) / math.pi) ** 2)
     levels = math.ceil(ln_n / math.log(n1) - 1e-12)
+    try:
+        _check_levels(n1, levels)
+    except ValueError as exc:
+        raise ValueError(f"n = {n}: {exc}") from None
     return n1, d, levels

@@ -9,7 +9,8 @@ from scipy.special import ndtri
 
 from bltnoise import streaming
 from bltnoise.params import BltFactorization, RationalBlt, blt_coeffs
-from bltnoise.seq import ToeplitzSeq, ltt_dense, optimal_coeffs
+from bltnoise.recursive import comb_dense, comc_dense
+from bltnoise.seq import ToeplitzSeq, ltt_dense, optimal_coeffs, series_reciprocal
 from bltnoise.streaming import _uniform_chunk
 
 
@@ -167,6 +168,26 @@ def optimized_d5():
     from bltnoise.optimizer import OptConfig, optimize_blt
 
     return optimize_blt(OptConfig(degree=5, n=10**5)).factorization
+
+
+def blt_dense_pair(fact, n):
+    """Dense (B, C) of a BLT factorization at horizon n."""
+    r = blt_coeffs(fact.rational(), n).coeffs
+    return ltt_dense(np.cumsum(r)), ltt_dense(series_reciprocal(r))
+
+
+def dense_recursion(B1, C1, levels):
+    """Iterate the combine step against its own output."""
+    B, C = B1, C1
+    for _ in range(levels - 1):
+        B = comb_dense(B1, B)
+        C = comc_dense(C1, C)
+    return B, C
+
+
+def dense_norms(B, C):
+    """(max column norm of C, max row norm of B)."""
+    return np.sqrt(np.max(np.sum(C * C, axis=0))), np.sqrt(np.max(np.sum(B * B, axis=1)))
 
 
 def consumption_perm(n1, levels):

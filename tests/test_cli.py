@@ -14,9 +14,11 @@ import pytest
 import bltnoise
 from bltnoise import cli
 from bltnoise.cli import main
-from bltnoise.error_eval import bounds_csv, max_err, opt_lt_toe, sensitivity_of
+from bltnoise.error_eval import bounds_csv, max_err, opt_lt_toe
 from bltnoise.optimizer import OptConfig, optimize_blt
 from bltnoise.params import load_factorization
+
+from helpers import blt_dense_pair, dense_norms, dense_recursion
 
 
 def run(capsys, *argv):
@@ -482,12 +484,11 @@ class TestRecursive:
         rep = json.loads(out)
         assert rep["n1"] == 8 and rep["n"] == 512
         assert rep["n_prime"] == 8 * 511 // 7
-        assert rep["status"] == "ok"
-        assert rep["max_abs_deviation"] <= 1e-8
-        assert rep["checked_steps"] == rep["n"]
-        fact = load_factorization(base)
-        want = np.sqrt(3.0) * sensitivity_of(fact, 8)
-        assert rep["sensitivity"] == pytest.approx(want, rel=1e-12)
+        B, C = dense_recursion(*blt_dense_pair(load_factorization(base), 8), 3)
+        sens, row_norm = dense_norms(B, C)
+        assert rep["sensitivity"] == pytest.approx(sens, rel=1e-12)
+        assert rep["row_norm"] == pytest.approx(row_norm, rel=1e-12)
+        assert rep["max_err"] == pytest.approx(sens * row_norm, rel=1e-12)
 
     def test_one_step_base_draws_one_row_per_level(self, capsys, tmp_path):
         base = str(tmp_path / "ra3.json")
@@ -498,16 +499,7 @@ class TestRecursive:
         rep = json.loads(out)
         assert rep["n1"] == 1 and rep["n"] == 1
         assert rep["n_prime"] == 3
-        assert rep["status"] == "ok"
-
-    def test_dense_cap_skips_check(self, capsys, tmp_path):
-        # n_total = 4096 fits, but the stacked C factor has 4368 rows
-        base = self.make_base(capsys, tmp_path, 16)
-        code, out, _ = run(capsys, "recursive", "--base", base, "--levels", "3")
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["status"].startswith("unchecked")
-        assert "max_abs_deviation" not in rep
+        assert rep["row_norm"] == 1.0
 
     def test_bad_levels(self, capsys, tmp_path):
         base = self.make_base(capsys, tmp_path, 8)

@@ -44,6 +44,9 @@ TEST_ORACLES = {
     "rational_sqrt_free_bound": "error bound of the free-step approximant",
     "stream_init": "one-row form the block engine is tested against",
     "stream_step": "one-row form the block engine is tested against; the benchmark tracer names it",
+    "comb_dense": "dense combined B factor the recursive streamer is tested against; the benchmark's oracle imports it",
+    "comc_dense": "dense combined C factor that the recursive norms are tested against",
+    "series_reciprocal": "long-division coefficients of 1/r that C's closed-form norm is tested against",
 }
 
 # Public class members that no package code reads.

@@ -415,6 +415,11 @@ class TestMaxErrReport:
         s = series_reciprocal(blt_coeffs(fact.rational(), 1000)).coeffs
         np.testing.assert_allclose(got, math.sqrt(np.sum(s * s)), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "5", 10**20, 0])
+    def test_horizon_rule(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            max_err(ra_blt_build(5, 100), n)
+
 
 class TestBoundsTable:
     def test_n1(self):

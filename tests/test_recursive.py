@@ -11,11 +11,13 @@ from bltnoise.error_eval import (
     rownorm_of,
     sensitivity_of,
 )
-from bltnoise.params import blt_coeffs
+from bltnoise.optimizer import OptConfig, optimize_blt
+from bltnoise.params import blt_coeffs, degree1_closed_form
 from bltnoise.rational import ra_blt_build
 from bltnoise import recursive
 from bltnoise.recursive import (
     _block_level,
+    _check_levels,
     blt_base_factory,
     comb_dense,
     comc_dense,
@@ -23,24 +25,16 @@ from bltnoise.recursive import (
     recursive_stream,
     theorem2_params,
 )
-from bltnoise.seq import ltt_dense, series_reciprocal
+from bltnoise.seq import ltt_dense
 
-from helpers import bintree_dense, consumption_perm, random_factorization
-
-
-def blt_dense_pair(fact, n):
-    """Dense (B, C) of a BLT factorization at horizon n."""
-    r = blt_coeffs(fact.rational(), n).coeffs
-    return ltt_dense(np.cumsum(r)), ltt_dense(series_reciprocal(r))
-
-
-def dense_recursion(B1, C1, levels):
-    """Iterate the combine step against its own output."""
-    B, C = B1, C1
-    for _ in range(levels - 1):
-        B = comb_dense(B1, B)
-        C = comc_dense(C1, C)
-    return B, C
+from helpers import (
+    bintree_dense,
+    blt_dense_pair,
+    consumption_perm,
+    dense_norms,
+    dense_recursion,
+    random_factorization,
+)
 
 
 def ones_lt(n):
@@ -98,36 +92,68 @@ class TestCombineIdentities:
             comb_dense(np.eye(70), np.eye(70))
 
 
+# (construction, degree, n1, levels); each composition's dense factors fit
+# under comb_dense's row cap
+NORM_BASES = [
+    ("ra", 5, 12, 3),
+    ("ra", 3, 8, 3),
+    ("degree1", 1, 16, 2),
+    ("opt", 4, 10, 3),
+    ("ra", 3, 2, 10),
+    ("ra", 3, 1, 3),
+]
+
+
+def build_base(method, degree, n1):
+    if method == "ra":
+        return ra_blt_build(degree, n1)
+    if method == "degree1":
+        return degree1_closed_form(n1)
+    return optimize_blt(OptConfig(degree=degree, n=n1)).factorization
+
+
 class TestRecursiveNorms:
+    """``recursive_norms`` is exact: it equals the dense composed factors' norms."""
+
     def test_single_level_is_identity(self):
-        assert recursive_norms(1.7, 2.3, 1) == (1.7, 2.3)
+        fact = random_factorization(np.random.default_rng(3), 2, n=6)
+        assert recursive_norms(fact, 6, 1) == (sensitivity_of(fact, 6), rownorm_of(fact, 6))
 
     def test_four_levels_double(self):
-        sens, rown = recursive_norms(1.25, 1.0, 4)
-        assert sens == pytest.approx(2.5)
-        sens, rown = recursive_norms(1.2, 0.9, 4)
-        assert sens == pytest.approx(2.4)
-        assert rown == pytest.approx(1.8)
+        # the sensitivity doubles; the row norm adds three shifted base rows
+        fact = random_factorization(np.random.default_rng(4), 2, n=6)
+        sens, rown = recursive_norms(fact, 6, 4)
+        assert sens == pytest.approx(2.0 * sensitivity_of(fact, 6), rel=1e-15)
+        want = np.hypot(rownorm_of(fact, 6), np.sqrt(3.0) * rownorm_of(fact, 5))
+        assert rown == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("method, degree, n1, levels", NORM_BASES)
+    def test_exact_against_dense(self, method, degree, n1, levels):
+        fact = build_base(method, degree, n1)
+        B, C = dense_recursion(*blt_dense_pair(fact, n1), levels)
+        np.testing.assert_allclose(recursive_norms(fact, n1, levels), dense_norms(B, C), rtol=1e-12)
+
+    def test_one_step_base_row_norm_is_one(self):
+        # every level of a one-step base is the one row b0 = 1
+        assert recursive_norms(ra_blt_build(3, 1), 1, 3)[1] == 1.0
 
     def test_levels_validated(self):
+        fact = random_factorization(np.random.default_rng(2), 2, n=4)
         for levels in (0, 64, 10**20, 2.5):
-            with pytest.raises(ValueError):
-                recursive_norms(1.0, 1.0, levels)
+            with pytest.raises(ValueError, match="levels"):
+                recursive_norms(fact, 4, levels)
 
     def test_dense_norms_match(self):
-        """Dense column norms realize sqrt(l) exactly; row norms stay below."""
+        """Dense column and row norms both realize the formula."""
         rng = np.random.default_rng(8)
         fact = random_factorization(rng, 2, n=4)
         B1, C1 = blt_dense_pair(fact, 4)
         levels = 3
         B, C = dense_recursion(B1, C1, levels)
-        sens_base = sensitivity_of(fact, 4)
-        rown_base = rownorm_of(fact, 4)
-        want_sens, want_rown = recursive_norms(sens_base, rown_base, levels)
-        got_sens = np.sqrt(np.max(np.sum(C * C, axis=0)))
-        got_rown = np.sqrt(np.max(np.sum(B * B, axis=1)))
+        want_sens, want_rown = recursive_norms(fact, 4, levels)
+        got_sens, got_rown = dense_norms(B, C)
         np.testing.assert_allclose(got_sens, want_sens, rtol=1e-10)
-        assert got_rown <= want_rown + 1e-12
+        np.testing.assert_allclose(got_rown, want_rown, rtol=1e-12)
 
 
 class TestRecursiveStream:
@@ -404,6 +430,18 @@ class TestTheorem2Params:
         with pytest.raises(ValueError):
             theorem2_params(24)
 
+    @pytest.mark.parametrize("n", [25.5, 2**62, 2**63 - 1, 2**63])
+    def test_unbuildable_n_rejected(self, n):
+        # 2**62 and 2**63 - 1 give compositions that draw past 2**63 - 1 rows
+        with pytest.raises(ValueError, match=rf"^n( = {n}:| must be a positive integer)"):
+            theorem2_params(n)
+
+    def test_every_returned_composition_is_buildable(self):
+        # 16 points per octave up to 2**58; the first refused n is near 2**58.94
+        for k in range(16 * 5, 16 * 58 + 1):
+            n1, _, levels = theorem2_params(round(2 ** (k / 16)))
+            _check_levels(n1, levels)
+
     def test_bound_at_ten_thousand(self):
         """The recursive MaxErr stays within the additive/multiplicative
         budget l * base <= opt * (1 + 3 pi / ln n1) + 4 + 3 / ln n1 + ln(n1) / pi."""
@@ -427,7 +465,6 @@ class TestBinaryTree:
         B, C = bintree_dense(levels)
         n = 2**levels
         np.testing.assert_allclose(B @ C, ones_lt(n), atol=1e-12)
-        rown = np.sqrt(np.max(np.sum(B * B, axis=1)))
-        sens = np.sqrt(np.max(np.sum(C * C, axis=0)))
+        sens, rown = dense_norms(B, C)
         assert rown * sens == pytest.approx(levels + 1)
         assert rown * sens == pytest.approx(bintree_value(n))

@@ -80,6 +80,14 @@ with open("n1.json", "w") as fh:
 sys.exit(main(["recursive", "--base", "n1.json", "--levels", str(10**20)]))
 """
 
+# a two-step degree1 base composed 11 times: n = 2048, n_prime = 4094 rows
+DEGREE1_2X11 = """
+import sys
+from bltnoise.cli import main
+main(["build", "--method", "degree1", "--steps", "2", "--out", "d1-2.json"])
+sys.exit(main(["recursive", "--base", "d1-2.json", "--levels", "11"]))
+"""
+
 # (name, argv): argv for ``blt``, or ("-c", source) for a Python snippet.
 # The build commands write the factorization files that later commands read.
 COMMANDS = [
@@ -115,6 +123,7 @@ COMMANDS = [
     ("verify", ["verify", "--blt", "ra5.json", "--steps", "2000", "--dim", "3"]),
     ("recursive", ["recursive", "--base", "ra3.json", "--levels", "3"]),
     ("recursive-stream", ["-c", RECURSIVE_STREAM]),
+    ("recursive-degree1-2x11", ["-c", DEGREE1_2X11]),
     ("bounds-4096", ["bounds", "--n-max", "4096"]),
     ("bounds-log-grid", ["bounds", "--n-max", str(10**12), "--log-grid", "60"]),
     ("compare", ["compare", "--methods", "opt,ra,degree1", "--degrees", "3,5", "--n-grid", "1000,100000"]),
