@@ -18,26 +18,24 @@ from .error_eval import MECH_CSV_HEADER, bounds_csv, bounds_row, max_err
 from .optimizer import OptConfig, optimize_blt
 from .params import (
     _check_horizon,
-    blt_coeffs,
     degree1_closed_form,
     load_factorization,
     save_factorization,
 )
 from .rational import ra_blt_build
 from .recursive import _draws, recursive_norms
-from .seq import ltt_apply_dense
 from .streaming import (
     PER_STEP,
     PREFIX,
     NoiseStreamConfig,
+    _noise_chunks,
     _uniform_chunk,
     ndtri,
-    noise_stream,
+    stream_init,
+    stream_step,
     write_noise_csv,
     write_noise_f64,
 )
-
-_VERIFY_CAP = 1 << 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,27 +161,24 @@ def _cmd_noisegen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Check every per-step and prefix row against the one-row form run over
+    the seed's normals, batch by batch.  The reference shares only the draw
+    and (theta, omega) with the engine, none of its block kernel."""
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     _check_flag("--steps", args.steps)
-    if args.steps > _VERIFY_CAP:
-        raise ValueError(f"--steps is capped at {_VERIFY_CAP} for dense verification")
     fact = load_factorization(args.blt)
     n, m = args.steps, args.dim
-    streamed = {}
-    for kind in (PER_STEP, PREFIX):
-        cfg = NoiseStreamConfig(fact, n, m, args.seed, 1.0, kind)
-        streamed[kind] = np.vstack(list(noise_stream(cfg)))
-    sigma = cfg.sigma
+    per, pre = (NoiseStreamConfig(fact, n, m, args.seed, 1.0, kind) for kind in (PER_STEP, PREFIX))
     bitgen = np.random.Philox(key=int(args.seed))
-    z = ndtri(_uniform_chunk(bitgen, n * m)).reshape(n, m) * sigma
-    r = blt_coeffs(fact.rational(), n).coeffs
-    dense_per = ltt_apply_dense(r, z)
-    dense_prefix = np.cumsum(dense_per, axis=0)
-    dev = max(
-        float(np.max(np.abs(streamed[PER_STEP] - dense_per))),
-        float(np.max(np.abs(streamed[PREFIX] - dense_prefix))),
-    )
+    state = stream_init(fact.rational(), m)
+    dev, total = 0.0, np.zeros((1, m))
+    # a batch stays valid until its own generator's next one is requested
+    for (_, y), (_, p) in zip(_noise_chunks(per), _noise_chunks(pre)):
+        z = ndtri(_uniform_chunk(bitgen, y.size)).reshape(y.shape) * per.sigma
+        ref = np.array([stream_step(state, row) for row in z])
+        total = total[-1] + np.cumsum(ref, axis=0)
+        dev = float(np.max([dev, np.abs(y - ref).max(), np.abs(p - total).max()]))  # keeps a NaN
     ok = dev <= args.tol
     print(
         json.dumps(
@@ -191,7 +186,7 @@ def _cmd_verify(args) -> int:
                 "n": n,
                 "m": m,
                 "seed": args.seed,
-                "sigma": sigma,
+                "sigma": per.sigma,
                 "max_abs_deviation": dev,
                 "tol": args.tol,
                 "status": "ok" if ok else "mismatch",
@@ -298,7 +293,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_noisegen)
 
-    p = sub.add_parser("verify", help="streaming vs dense comparison (exit 3 on mismatch)")
+    p = sub.add_parser("verify", help="check every streamed row against the one-row form (exit 3 on mismatch)")
     p.add_argument("--blt", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)

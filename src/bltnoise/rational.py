@@ -82,6 +82,11 @@ def newman_sqrt(d: int) -> SqrtApproxTerms:
     return SqrtApproxTerms(d_plus, d - 1 - d_plus, math.pi / math.sqrt(2.0 * d_plus))
 
 
+def _degree_a(n: int) -> int:
+    """The least degree meeting accuracy condition (a) at horizon n."""
+    return math.ceil(2.0 + ((12.0 + 4.0 * math.log(n)) / math.pi) ** 2)
+
+
 def degree_for_error(n: int, mu: float) -> int:
     """Smallest degree meeting both accuracy conditions for horizon n, slack mu.
 
@@ -93,11 +98,10 @@ def degree_for_error(n: int, mu: float) -> int:
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     ln_n = math.log(n)
-    d_a = math.ceil(2.0 + ((12.0 + 4.0 * ln_n) / math.pi) ** 2)
     d_b = math.ceil(
         2.0 + (2.0 / math.pi * math.log(16.0 * math.sqrt(n) * (4.0 + ln_n) / mu)) ** 2
     )
-    return int(max(d_a, d_b, 3))
+    return int(max(_degree_a(n), d_b, 3))
 
 
 def _nudge_descending(arr: np.ndarray) -> np.ndarray:

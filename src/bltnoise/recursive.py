@@ -26,6 +26,7 @@ import numpy as np
 
 from .error_eval import rownorm_of, sensitivity_of
 from .params import BltFactorization, _check_horizon, _is_int, blt_coeffs
+from .rational import _degree_a
 from .seq import MATRIX_CAP, ltt_dense
 from .streaming import _TILE_VALUES
 
@@ -232,7 +233,7 @@ def theorem2_params(n: int):
         raise ValueError("n must be >= 25")
     ln_n = math.log(n)
     n1 = max(5, math.ceil(ln_n))
-    d = math.ceil(2.0 + ((12.0 + 4.0 * math.log(n1)) / math.pi) ** 2)
+    d = _degree_a(n1)
     levels = math.ceil(ln_n / math.log(n1) - 1e-12)
     try:
         _check_levels(n1, levels)

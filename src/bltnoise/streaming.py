@@ -4,10 +4,10 @@ The per-step noise stream is C^{-1} z where C^{-1} is lower-triangular
 Toeplitz with generator r = 1 + x * sum_k omega_k / (1 - theta_k x).  With
 v = omega/theta, row k is z_k + theta^T S before the d x m buffer steps as
 S <- diag(theta) S + v z_k.  ``stream_init``/``stream_step`` run that one-row
-form; they are the test oracle the block engine is checked against, and no
-stream uses them.  The noise streams run the same recurrence L rows at a
-time, as the chunked scan of Dao & Gu 2024 ("Transformers are SSMs", arXiv
-2405.21060).  For a block Z of L rows,
+form, the reference ``blt verify`` checks every streamed row against.  The
+noise streams run the same recurrence L rows at a time, as the chunked scan
+of Dao & Gu 2024 ("Transformers are SSMs", arXiv 2405.21060).  For a block Z
+of L rows,
 
     Y = T Z + P S,    S <- diag(theta^L) S + Q Z,
 

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import bltnoise
-from bltnoise import cli
+from bltnoise import cli, streaming
 from bltnoise.cli import main
 from bltnoise.error_eval import bounds_csv, max_err, opt_lt_toe
 from bltnoise.optimizer import OptConfig, optimize_blt
-from bltnoise.params import load_factorization
+from bltnoise.params import load_factorization, save_factorization
 
-from helpers import blt_dense_pair, dense_norms, dense_recursion
+from helpers import blt_dense_pair, dense_norms, dense_recursion, optimized_d5
 
 
 def run(capsys, *argv):
@@ -405,12 +405,48 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["status"] == "mismatch"
 
-    def test_steps_cap(self, capsys, blt_file):
-        code, _, err = run(
-            capsys, "verify", "--blt", blt_file, "--steps", "20000", "--dim", "1"
+    def test_past_the_old_cap(self, capsys, blt_file):
+        code, out, _ = run(
+            capsys, "verify", "--blt", blt_file, "--steps", "20000", "--dim", "2"
         )
-        assert code == 2
-        assert "capped" in err
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "steps, factor, code, status",
+        [(16384, 1.0 + 1e-6, 0, "ok"), (20000, 1.0 + 1e-6, 3, "mismatch"), (20000, np.nan, 3, "mismatch")],
+    )
+    def test_state_defect_past_the_first_batch(self, capsys, monkeypatch, blt_file, steps, factor, code, status):
+        # at m=2 a batch is 16,384 rows: the defect first shows at row 16,384
+        assert streaming._batch_rows(2) == 16384
+        kernel = streaming.lfilter
+
+        def planted(T, P, Q, decay, z, S):
+            if S.any():  # every batch but the first carries a nonzero state in
+                S *= factor
+            kernel(T, P, Q, decay, z, S)
+
+        monkeypatch.setattr(streaming, "lfilter", planted)
+        got, out, _ = run(
+            capsys, "verify", "--blt", blt_file, "--steps", str(steps), "--dim", "2"
+        )
+        assert (got, json.loads(out)["status"]) == (code, status)
+
+    @pytest.mark.parametrize("build", ["ra", "opt"])
+    def test_long_stream(self, capsys, tmp_path, build):
+        path = str(tmp_path / f"{build}.json")
+        if build == "ra":
+            argv = ["build", "--method", "ra", "--degree", "5", "--steps", "100000"]
+            assert main(argv + ["--out", path]) == 0
+        else:
+            save_factorization(optimized_d5(), path)
+        capsys.readouterr()
+        code, out, _ = run(
+            capsys, "verify", "--blt", path, "--steps", "100000", "--dim", "2"
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["n"], rep["status"]) == (100000, "ok")
 
 
 class TestCompare:
@@ -591,7 +627,7 @@ class TestMalformedInputs:
             (["noisegen", "--steps", "5", "--dim", "0"], None, 2, "m must"),
             (["noisegen", "--steps", "5", "--dim", "2", "--seed", "-1"], None, 2, "seed must"),
             (["noisegen", "--steps", "5", "--dim", "2", "--zeta", "nan"], None, 2, "zeta must"),
-            (["verify", "--steps", "20000", "--dim", "1"], None, 2, "--steps"),
+            (["verify", "--steps", str(2**63), "--dim", "1"], None, 2, "--steps"),
             (["noisegen", "--steps", "abc", "--dim", "2"], None, 1, "--steps"),
             (["eval", "--steps"], None, 1, "--steps"),
             # an n that no array dimension can hold

@@ -121,6 +121,7 @@ COMMANDS = [
       "--out", "smax.csv"]),
     ("shard-300", ["-c", SHARD]),
     ("verify", ["verify", "--blt", "ra5.json", "--steps", "2000", "--dim", "3"]),
+    ("verify-past-cap", ["verify", "--blt", "ra5.json", "--steps", "20000", "--dim", "2"]),
     ("recursive", ["recursive", "--base", "ra3.json", "--levels", "3"]),
     ("recursive-stream", ["-c", RECURSIVE_STREAM]),
     ("recursive-degree1-2x11", ["-c", DEGREE1_2X11]),
