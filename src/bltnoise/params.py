@@ -24,8 +24,8 @@ from .seq import ToeplitzSeq
 
 _METHODS = ("ra", "opt", "degree1", "manual")
 
-# Above this degree, real-input residue products switch to log-space to avoid
-# overflow of individual factors (the result itself stays representable).
+# Above this degree, residue products switch to log-space to avoid overflow
+# of partial products (the result itself stays representable).
 _LOGSPACE_DEGREE = 32
 
 _COEFF_CHUNK = 1 << 16
@@ -87,8 +87,8 @@ def residues_from_roots(theta, theta_hat):
     optimizer check their own roots and call ``_residues_one_side``.
 
     Accepts complex inputs and batches over leading axes, one root set per
-    row; real inputs of degree > 32 are evaluated in log-space so that
-    individual factors cannot overflow.
+    row; above degree 32 the factors' magnitudes are summed in log-space so
+    that no partial product can overflow.
     """
     theta = np.atleast_1d(np.asarray(theta))
     theta_hat = np.atleast_1d(np.asarray(theta_hat))
@@ -103,23 +103,27 @@ def residues_from_roots(theta, theta_hat):
 
 
 def _residues_one_side(poles, zeros):
+    """The residues at ``poles`` of ``prod(1 - zeros x) / prod(1 - poles x)``.
+
+    Each factor ``1 - z/p`` is formed as the difference ``(p - z) / p``: the
+    difference of two roots next to 1 is exact (Sterbenz), where the quotient
+    rounds at one ulp of 1 and keeps only a few digits of ``1 - z/p``.
+    """
     d = poles.shape[-1]
-    num = 1.0 - zeros[..., None, :] / poles[..., :, None]
-    den = 1.0 - poles[..., None, :] / poles[..., :, None]
+    p = poles[..., :, None]
+    num = (p - zeros[..., None, :]) / p
+    den = (p - poles[..., None, :]) / p
     den[..., range(d), range(d)] = 1.0
-    if d <= _LOGSPACE_DEGREE or np.iscomplexobj(poles) or np.iscomplexobj(zeros):
+    if d <= _LOGSPACE_DEGREE:
         return poles * num.prod(axis=-1) / den.prod(axis=-1)
-    sign = np.prod(np.sign(num), axis=-1) * np.prod(np.sign(den), axis=-1)
-    zero_num = np.any(num == 0.0, axis=-1)
-    with np.errstate(divide="ignore"):
-        log_mag = (
-            np.log(np.abs(poles))
-            + np.log(np.abs(num)).sum(axis=-1)
-            - np.log(np.abs(den)).sum(axis=-1)
-        )
-    out = sign * np.exp(log_mag)
-    out[zero_num] = 0.0
-    return out
+    # the same factors with magnitudes summed in log-space, so that no partial
+    # product overflows; x / |x| is a real factor's sign and a complex step's
+    # phase, so real and complex inputs take this one expression
+    num_abs, den_abs = np.abs(num), np.abs(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(num_abs == 0.0, 1.0, num / num_abs).prod(axis=-1) / (den / den_abs).prod(axis=-1)
+        mag = np.exp(np.log(num_abs).sum(axis=-1) - np.log(den_abs).sum(axis=-1))
+    return poles * phase * mag
 
 
 @dataclass(eq=False)

@@ -295,9 +295,9 @@ class TestStopReason:
         "degree, n, iterations, ratio",
         [
             (3, 10**4, 40, 1.0088147136953318),
-            (4, 10**4, 96, 1.0012772795252223),
-            (5, 10**5, 117, 1.0011540182532237),
-            (10, 10**5, 360, 1.0000615664426622),
+            (4, 10**4, 125, 1.0012772795253684),
+            (5, 10**5, 118, 1.0011540182523895),
+            (10, 10**5, 420, 1.0000094575644702),
         ],
     )
     def test_stops_at_the_plateau(self, degree, n, iterations, ratio):

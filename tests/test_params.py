@@ -18,7 +18,45 @@ from bltnoise.params import (
 from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, series_reciprocal
 from bltnoise.streaming import NoiseStreamConfig
 
-from helpers import cauchy_product, random_factorization, random_rational
+from helpers import cauchy_product, mp_residues, random_factorization, random_rational
+
+# Stored roots of default ``optimize_blt(OptConfig(d, 10**6))`` runs at d = 12
+# and d = 16: several pairs agree to 9-12 digits next to 1, where the ratio
+# form ``1 - z/p`` of a residue factor kept only a few of them.
+CLUSTERED_ROOTS = {
+    12: (
+        [
+            0.23139048878207572, 0.841799717150478, 0.9998878647981108,
+            0.9974084751128017, 0.9996814471073849, 0.9790886711039307,
+            0.9999610776633538, 0.9999958805826127, 0.9999991553024573,
+            0.9999991167956039, 0.9999999997366709, 0.99999999977325,
+        ],
+        [
+            0.6103987939352784, 0.9414695245904643, 0.9998870303096279,
+            0.9926221599939865, 0.9990911571084707, 0.9998892949565471,
+            0.9999867231740419, 0.9999991543326301, 0.9999991135850109,
+            0.9999991585258985, 0.9999999997367568, 0.9999999997746523,
+        ],
+    ),
+    16: (
+        [
+            0.33645010325692837, 0.9309889669128045, 0.9999104297190505,
+            0.998721267875913, 0.9996611051808107, 0.9951648049913855,
+            0.9999763283001344, 0.9999987670483319, 0.9999999997578071,
+            0.9999999992502235, 0.9999999996453734, 0.9999999997589657,
+            0.9999999999348681, 0.9999999999829532, 0.9999999999957068,
+            0.9999999999989326,
+        ],
+        [
+            0.7573605887440757, 0.9816549329692624, 0.9999103754750577,
+            0.9987201657213809, 0.9987234231908797, 0.9999104313277228,
+            0.9999938476364681, 0.9999999997530771, 0.9999999992741788,
+            0.9999999408252389, 0.9999999997589655, 0.9999999997742022,
+            0.9999999999455045, 0.9999999999869116, 0.9999999999967475,
+            0.999999999999182,
+        ],
+    ),
+}
 
 
 def power_coeffs(theta, omega, n):
@@ -76,16 +114,28 @@ class TestResiduesFromRoots:
             residues_from_roots([0.0, 0.5], [0.2, 0.3])
 
     def test_logspace_matches_direct_at_high_degree(self):
-        """The log-space branch (d > 32) agrees with plain products."""
+        """The log-space branch (d > 32) agrees with 50-digit products, for
+        real input and for the complex input of a gradient step."""
         rng = np.random.default_rng(3)
         d = 40
         theta = np.sort(rng.uniform(0.02, 0.98, d))
         theta_hat = theta + 0.5 * np.diff(np.append(theta, 1.0))
         omega, omega_hat = residues_from_roots(theta, theta_hat)
-        # force the direct branch via a complex view with zero imaginary part
         om_c, omh_c = residues_from_roots(theta + 0j, theta_hat + 0j)
-        np.testing.assert_allclose(omega, om_c.real, rtol=1e-9)
-        np.testing.assert_allclose(omega_hat, omh_c.real, rtol=1e-9)
+        for got, poles, zeros in ((omega, theta, theta_hat), (omega_hat, theta_hat, theta)):
+            want = np.array([float(x) for x in mp_residues(poles, zeros)])
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(om_c.real, omega, rtol=1e-12)
+        np.testing.assert_allclose(omh_c.real, omega_hat, rtol=1e-12)
+
+    @pytest.mark.parametrize("degree", [12, 16])
+    def test_clustered_roots_match_mpmath(self, degree):
+        """Differences of roots next to 1 are exact, so both residue vectors
+        keep full precision where the ratio form lost up to 4.5e-8."""
+        theta, theta_hat = (np.array(r) for r in CLUSTERED_ROOTS[degree])
+        for got, poles, zeros in zip(residues_from_roots(theta, theta_hat), (theta, theta_hat), (theta_hat, theta)):
+            want = np.array([float(x) for x in mp_residues(poles, zeros, dps=60)])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 class TestBltCoeffs:
