@@ -1,14 +1,14 @@
 """Closed-form evaluation of sensitivity, row norm, MaxErr, and reference bounds.
 
 The factorization quality objective is MaxErr = ||B||_{2->inf} * ||C||_{1->2}.
-Neither norm walks the n coefficients.  Each is one entry of a finite Stein
-sum ``sum_{j<n} M^j v v^T (M^j)^T`` over a (d+1)-dimensional linear
-recurrence -- the pole space of C's generator 1/r for the sensitivity, the
-state of B's prefix-summed generator for the row norm -- evaluated by binary
-doubling in O(d^3 log n) (``geometric_prefix``).  Both evaluators batch over
-leading axes and never conjugate, so complex parameters carry the exact
-derivatives the optimizer's complex-step gradient reads, and ``blt eval``
-scores a factorization with the same arithmetic as the optimizer.
+Neither norm walks the n coefficients: each is a Gram form of geometric
+sequences, O(d^2), whose entries are elementwise geometric sums
+``geometric_prefix(e, N)`` of exact complements ``e = 1 - theta_i theta_k``,
+so a root at exactly 1 (``ra``'s zero at x = 1) is summed exactly at any n.
+Both evaluators batch over leading axes and never conjugate, so complex
+parameters carry the exact derivatives the optimizer's complex-step gradient
+reads, and ``blt eval`` scores a factorization with the same arithmetic as
+the optimizer.
 
 The reference bounds of every report (``opt_lt_toe``, ``mathias_ub``,
 ``matousek_lb``, ``bintree``) cost O(1) time and memory at any n: exact
@@ -18,6 +18,7 @@ float sums up to ``_EXACT_MAX``, asymptotic expansions within a few ulp of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,28 +30,66 @@ from .seq import optimal_coeffs
 EULER_GAMMA = 0.5772156649015329
 
 
-def geometric_prefix(M, v, n: int):
-    """Finite Stein sum ``sum_{j<n} M^j v v^T (M^j)^T``, O(k^3 log n).
+# Where ``x = N log(1/q)`` is below this, a sum over N powers of q is taken
+# as a power series in x, to this order: no closed form with 1 - q in a
+# denominator keeps its digits, or a complex step's, there.
+_SERIES_X = 1.0
+_SERIES_ORDER = 24
 
-    ``M`` is ``(..., k, k)`` and ``v`` is ``(..., k)``; leading axes are a
-    batch.  The sum is built over the bits of ``n`` with the pair
-    ``(G_L, M^L)``, starting from ``(v v^T, M)`` at the leading bit:
-    ``G_2L = G_L + M^L G_L (M^L)^T``, and a set bit makes it
-    ``v v^T + M G M^T``.  Transposes are plain, never conjugate.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    vv = v[..., :, None] * v[..., None, :]
-    if n == 0:
-        return np.zeros_like(vv)
-    G, P = vv, M
-    for bit in bin(n)[3:]:
-        G = G + P @ G @ P.swapaxes(-1, -2)
-        P = P @ P
-        if bit == "1":
-            G = vv + M @ G @ M.swapaxes(-1, -2)
-            P = M @ P
-    return G
+
+@functools.lru_cache(maxsize=16)
+def _series_weights(N: int):
+    """Weights of the power series in ``x = N log(1/q)``, from the power sums
+    ``S_k = sum_{j<N} j^k`` (exact, by ``sum_{i<=k} C(k+1, i) S_i = N^(k+1)``):
+    ``S_m / (N^m m!)`` for ``sum_{j<N} q^j``, and ``S_{m+1} / (N^m (m+1)!)``
+    and ``S_{m+p+2} / (N^(m+p) (m+1)! (p+1)!)`` for ``rownorm_closed``."""
+    M, S, f = _SERIES_ORDER, [N], math.factorial
+    for k in range(1, M + 3):
+        S.append((N ** (k + 1) - sum(math.comb(k + 1, i) * S[i] for i in range(k))) // (k + 1))
+    k0 = np.array([S[m] / (N**m * f(m)) for m in range(M + 1)])
+    w1 = np.array([S[m + 1] / (N**m * f(m + 1)) for m in range(M + 1)])
+    W2 = np.array([[S[m + p + 2] / (N ** (m + p) * f(m + 1) * f(p + 1)) if m + p <= M else 0.0
+                    for p in range(M + 1)] for m in range(M + 1)])
+    return k0, w1, W2
+
+
+def _log_q(e):
+    """``log(1 - e)``; for complex ``e = a + ib`` as ``0.5 log1p(a(a - 2) + b^2)
+    + i atan2(-b, 1 - a)``, since numpy's complex ``log1p`` loses the real
+    part's digits at small |e|."""
+    if np.iscomplexobj(e):
+        a, b = e.real, e.imag
+        return 0.5 * np.log1p(a * (a - 2.0) + b * b) + 1j * np.arctan2(-b, 1.0 - a)
+    with np.errstate(divide="ignore"):
+        return np.log1p(-e)
+
+
+def geometric_prefix(e, N: int):
+    """``sum_{j<N} (1 - e)^j`` elementwise, O(1) each: ``-expm1(-x) / e`` with
+    ``x = -N log(1 - e)``, and below ``_SERIES_X`` the power series in x, which
+    is exactly N at e = 0.  A complex step carries the exact derivative."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    e = np.asarray(e)
+    if N == 0:
+        return np.zeros_like(e)
+    x = -N * _log_q(e)
+    near = np.abs(np.real(x)) < _SERIES_X
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(-np.expm1(-x) / e)
+    if np.any(near):
+        out[near] = (-x[near])[:, None] ** np.arange(_SERIES_ORDER + 1) @ _series_weights(N)[0]
+    return out
+
+
+def _gram(e, N: int):
+    """``G_ik = sum_{j<N} (theta_i theta_k)^j`` from ``e = 1 - theta``."""
+    return geometric_prefix(e[..., :, None] + e[..., None, :] - e[..., :, None] * e[..., None, :], N)
+
+
+def _quad(G, u, v):
+    """``u^T G v`` over leading axes, never conjugated."""
+    return ((G * v[..., None, :]).sum(axis=-1) * u).sum(axis=-1)
 
 
 def _norm_from_square(square, what: str):
@@ -60,52 +99,54 @@ def _norm_from_square(square, what: str):
     return np.sqrt(square)
 
 
-def sensitivity_closed(omega, theta, n: int):
-    """``||C||_{1->2}`` over ``n >= 1`` steps from B-side residues and poles.
-
-    Works in the pole space of C's generator 1/r.  With ``tb = (theta, 0)``,
-    ``v = (omega/theta, 1 - sum omega/theta) / r0`` (r0 the sum of the
-    unnormalized v, 1 up to rounding) and ``M = diag(tb) - v tb^T``, the
-    coefficients of 1/r are ``1/r0`` and ``-tb^T M^j v / r0``, so
-    ``||C||^2 = (1 + tb^T G tb) / r0^2`` with
-    ``G = geometric_prefix(M, v, n - 1)``.  Batches over leading axes.
-    """
-    omega = np.asarray(omega)
-    theta = np.asarray(theta)
-    ratio = omega / theta
-    tb = np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
-    v = np.concatenate([ratio, 1.0 - ratio.sum(axis=-1, keepdims=True)], axis=-1)
-    r0 = v.sum(axis=-1)
-    v = v / r0[..., None]
-    M = tb[..., None, :] * np.eye(tb.shape[-1]) - v[..., :, None] * tb[..., None, :]
-    G = geometric_prefix(M, v, n - 1)
-    quad = (tb[..., None, :] @ G @ tb[..., :, None])[..., 0, 0]
-    # r0 = 1 up to rounding, so dividing by it rather than abs(r0) changes
-    # nothing for real parameters and keeps complex steps analytic
-    return _norm_from_square(1.0 + quad, "sensitivity") / r0
+def sensitivity_closed(omega_hat, theta_hat, n: int):
+    """``||C||_{1->2}`` over ``n >= 1`` steps from C-side residues and roots:
+    C's generator is ``1/r = 1 + x sum_k omega_hat_k / (1 - theta_hat_k x)``,
+    so ``||C||^2 = 1 + omega_hat^T G(theta_hat, n - 1) omega_hat``."""
+    omega_hat = np.asarray(omega_hat)
+    G = _gram(1.0 - np.asarray(theta_hat), n - 1)
+    return _norm_from_square(1.0 + _quad(G, omega_hat, omega_hat), "sensitivity")
 
 
 def rownorm_closed(omega, theta, n: int):
     """``||B||_{2->inf}`` over ``n`` steps from B-side residues and poles.
 
-    B's generator is the prefix sum of ``r``: ``b_j = e_d^T A^j 1`` with
-    ``A = [[diag theta, 0], [omega^T, 1]]``, so ``||B||^2`` is the last
-    diagonal entry of ``geometric_prefix(A, 1, n)``.  The unit entry and the
-    zero block of A stay exact under squaring, so theta = 1 is evaluated like
-    any other pole.  Batches over leading axes.
+    B's coefficients are ``b_j = 1 + sum_i omega_i K_i(j)``, ``K_i(j) =
+    sum_{k<j} theta_i^k``.  A pole with ``x = n log(1/theta) >= 1`` enters as
+    ``K_i(j) = (1 - theta_i^j) / e_i``: with ``beta = omega / e`` and ``alpha =
+    1 + sum beta``, the constant alpha is one more pole, at 1, of one Gram
+    form.  A pole nearer 1 (at 1 included), where dividing by e would cancel
+    every digit, keeps ``K_s(j) = ell_s sum_m (-x_s)^m j^(m+1) / (n^m (m+1)!)``,
+    ``ell_s = log(1/theta_s) / e_s``: its sums against 1 and the near poles
+    are series in x, and against a far pole b, ``sum_j K_s(j) theta_b^j =
+    (theta_b K_b - theta_b^n K_s) / (e_s + e_b - e_s e_b)``, ``K = K(n)``.
     """
     omega = np.asarray(omega)
     theta = np.asarray(theta)
     if not np.iscomplexobj(theta) and theta.size:
         if theta.min() < 0.0 or theta.max() > 1.0:
             raise ValueError("theta entries must lie in [0, 1]")
-    d = theta.shape[-1]
-    A = np.zeros(theta.shape[:-1] + (d + 1, d + 1), dtype=np.result_type(omega, theta))
-    A[..., range(d), range(d)] = theta
-    A[..., d, :d] = omega
-    A[..., d, d] = 1.0
-    G = geometric_prefix(A, np.ones(A.shape[:-1]), n)
-    return _norm_from_square(G[..., d, d], "row norm")
+    e = 1.0 - theta
+    log_q = _log_q(e)
+    near = (np.real(-n * log_q) < _SERIES_X) if n else np.zeros(e.shape, bool)
+    beta = np.where(near, 0.0, omega / np.where(near, 1.0, e))
+    alpha = 1.0 + beta.sum(axis=-1)
+    v = np.concatenate([-beta, alpha[..., None]], axis=-1)
+    G = _gram(np.concatenate([e, np.zeros(alpha.shape + (1,))], axis=-1), n)
+    square = _quad(G, v, v)
+    if np.any(near):
+        _, w1, W2 = _series_weights(n)
+        unit = e == 0
+        u = np.where(near, omega * np.where(unit, 1.0, -log_q / np.where(unit, 1.0, e)), 0.0)
+        X = np.where(near, n * log_q, 0.0)[..., None] ** np.arange(_SERIES_ORDER + 1)
+        square = square + 2.0 * alpha * (u * (X @ w1)).sum(axis=-1) + _quad(X @ W2 @ X.swapaxes(-1, -2), u, u)
+        far = near[..., :, None] & ~near[..., None, :]
+        K = G[..., :-1, -1]
+        cross = (np.exp(log_q) * K)[..., None, :] - np.exp(n * log_q)[..., None, :] * K[..., :, None]
+        e_sb = e[..., :, None] + e[..., None, :] - e[..., :, None] * e[..., None, :]
+        cross = np.where(far, cross / np.where(far, e_sb, 1.0), 0.0)
+        square = square - 2.0 * _quad(cross, np.where(near, omega, 0.0), beta)
+    return _norm_from_square(square, "row norm")
 
 
 @dataclass(frozen=True)
@@ -135,21 +176,18 @@ class MaxErrReport:
 
 
 def sensitivity_of(fact: BltFactorization, n: int) -> float:
-    """``||C||_{1->2}`` of ``fact`` over ``n`` steps, O(d^3 log n).
+    """``||C||_{1->2}`` of ``fact`` over ``n`` steps, O(d^2).
 
-    Uses the pole-space parameters the streamer uses, which for the rational
-    approximation are exact where its C-side roots are not.  Accuracy is
-    about n ulp relative when the pole-space matrix has a unit eigenvalue
-    (``ra``'s zero at x=1), whose one-ulp error powering carries: 3.3e-11 at
-    d=5, n=10^6 vs mpmath.
+    Reads the C-side residues ``fact.omega_hat``, which for the rational
+    approximation are exact where its stored roots are not.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(sensitivity_closed(fact.omega, fact.theta, n))
+    return float(sensitivity_closed(fact.omega_hat, fact.theta_hat, n))
 
 
 def rownorm_of(fact: BltFactorization, n: int) -> float:
-    """``||B||_{2->inf}`` of ``fact`` over ``n`` steps, O(d^3 log n)."""
+    """``||B||_{2->inf}`` of ``fact`` over ``n`` steps, O(d^2)."""
     return float(rownorm_closed(fact.omega, fact.theta, n))
 
 

@@ -5,9 +5,12 @@ The objective is the product of the two closed-form norms as a function of
 C-side residues strictly positive (residues change sign exactly when roots
 collide or cross, so the barrier also keeps the two root ladders interlaced).
 
-Gradients are exact: the residues and both norms are complex-safe, so a
-1e-20 imaginary step gives the derivative to machine precision with none of
-the cancellation of finite differences; the 2d steps are one batch.  The search
+One loss costs O(d^2): the residues of both sides and the two norms' Gram
+forms, the C side's from (omega_hat, theta_hat) and the B side's from
+(omega, theta).  Gradients are exact: the residues and both norms are
+complex-safe, so a 1e-20 imaginary step gives the derivative to machine
+precision with none of the cancellation of finite differences; the 2d steps
+are one batch.  The search
 runs in logit space (an unconstrained reparameterization of (0,1)) with a
 dense BFGS inverse-Hessian estimate and Armijo backtracking.  Every step it
 takes strictly lowers the loss, so the last iterate is the best one.  It stops
@@ -95,7 +98,7 @@ def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
         omega_hat = _residues_one_side(theta_hat, theta)
         if not np.all(np.isfinite(omega_hat)):
             return math.inf
-        value = sensitivity_closed(omega, theta, n) * rownorm_closed(omega, theta, n)
+        value = sensitivity_closed(omega_hat, theta_hat, n) * rownorm_closed(omega, theta, n)
         if barrier_weight != 0.0:
             if np.any(np.real(omega_hat) <= 0.0):
                 return math.inf

@@ -131,10 +131,11 @@ class BltFactorization:
     """A matched factor pair stored by its 2d root parameters plus a target n.
 
     ``theta`` are the inverse-C generator's pole reciprocals (B side),
-    ``theta_hat`` its zeros (C side); the B-side residues ``omega`` are
-    derived from the roots at construction.  Constructions whose roots cannot
-    be resolved at float64 (the rational approximation at large degree) pass
-    their analytically exact residues instead; residues are never serialized.
+    ``theta_hat`` its zeros (C side); the B-side residues ``omega`` and the
+    C-side ones ``omega_hat`` are derived from the roots at construction.
+    Constructions whose roots cannot be resolved at float64 (the rational
+    approximation at large degree) pass their analytically exact residues
+    instead; residues are never serialized.
     The constructor owns the checks on the roots (1-d, of equal length, in
     (0, 1], pairwise distinct), n and the method, also for a loaded file.
     """
@@ -145,6 +146,7 @@ class BltFactorization:
     method: str = "manual"
     omega: np.ndarray = None
     meta: dict = None
+    omega_hat: np.ndarray = None
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -167,6 +169,10 @@ class BltFactorization:
             self.omega = _residues_one_side(theta, theta_hat)
         else:
             self.omega = np.asarray(self.omega, dtype=np.float64)
+        if self.omega_hat is None:
+            self.omega_hat = _residues_one_side(theta_hat, theta)
+        else:
+            self.omega_hat = np.asarray(self.omega_hat, dtype=np.float64)
 
     @property
     def degree(self) -> int:

@@ -67,13 +67,6 @@ class SqrtApproxTerms:
         return vals if vals.shape else vals[()]
 
 
-def newman_error_bound(d: int) -> float:
-    """Uniform error bound 8*exp(-(pi/2)*sqrt(d-2)) on the closed unit disc."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    return 8.0 * math.exp(-0.5 * math.pi * math.sqrt(d - 2))
-
-
 def newman_sqrt(d: int) -> SqrtApproxTerms:
     """Degree-d rational approximation of sqrt(1-x) with real simple poles."""
     if d < 3:
@@ -138,7 +131,10 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
 
     The poles of ``newman_sqrt(d)`` give theta_k = 1/center_k with exact
     residues -weight_k * theta_k^2 / rt(0); the zeros give theta_hat
-    (including the exact zero at x = 1).  The construction depends on n only
+    (including the exact zero at x = 1).  C's residues are exact too:
+    ``omega_hat_k = -theta_hat_k^2 / r'(1/theta_hat_k)``, and with the zeros
+    as offsets y_k, ``r'(1 + y_k) = -sum_i weight_i / (offset_i - y_k)^2 /
+    rt(0)``, a sum of terms of one sign.  The construction depends on n only
     through the stored target horizon.  ``newman_sqrt`` checks d and
     ``BltFactorization`` checks n.
     """
@@ -147,44 +143,11 @@ def ra_blt_build(d: int, n: int) -> BltFactorization:
     theta = 1.0 / (1.0 + offsets)  # the offsets ascend, so theta is descending
     t_raw = constant - float(np.sum(weights * theta))
     omega = -(weights * theta * theta) / t_raw
-    ys = _interlaced_zeros(offsets, weights, constant)
-    theta_hat = np.concatenate(([1.0], 1.0 / (1.0 + ys)))
-    theta_stored = _nudge_descending(theta)
-    theta_hat_stored = _nudge_descending(theta_hat)
-    return BltFactorization(theta_stored, theta_hat_stored, n, method="ra", omega=omega)
-
-
-def rational_sqrt_free(x, d_plus: int, d_minus: int, h: float):
-    """Free-step approximant (2h/pi) sum_k x e^{hk}/(x + e^{2hk}) to sqrt(x).
-
-    Test-only building block: the unit-disc approximant equals
-    sqrt(2) * rational_sqrt_free((1-x)/2, ...) at the canonical step.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.complex128)
-    k = np.arange(-d_minus, d_plus + 1)
-    e1 = np.exp(h * k)
-    e2 = np.exp(2.0 * h * k)
-    vals = (2.0 * h / math.pi) * np.sum(
-        x[..., None] * e1 / (x[..., None] + e2), axis=-1
+    ys = np.concatenate(([0.0], _interlaced_zeros(offsets, weights, constant)))
+    theta_hat = 1.0 / (1.0 + ys)
+    slope = np.sum(weights / (offsets - ys[:, None]) ** 2, axis=1)
+    omega_hat = t_raw * theta_hat * theta_hat / slope
+    return BltFactorization(
+        _nudge_descending(theta), _nudge_descending(theta_hat), n,
+        method="ra", omega=omega, omega_hat=omega_hat,
     )
-    return vals if vals.shape else vals[()]
-
-
-def rational_sqrt_free_bound(x, d_plus: int, d_minus: int, h: float):
-    """Error bound for the free-step approximant at Re(x) >= 0.
-
-    Splits into discretization terms (depending on the phase of x through
-    c = arg(x)/pi) and two truncation terms from the finite ladder.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    c = np.angle(x) / math.pi
-    disc = 1.0 / np.expm1((1.0 - c) * math.pi**2 / h) + 1.0 / np.expm1(
-        (1.0 + c) * math.pi**2 / h
-    )
-    trunc = (2.0 * h / (math.pi * math.expm1(h))) * (
-        np.abs(x) * math.exp(-h * d_plus) + math.exp(-h * d_minus)
-    )
-    vals = 2.0 * np.sqrt(np.abs(x)) * disc + trunc
-    return vals if vals.shape else vals[()]

@@ -44,19 +44,6 @@ def comb_dense(B1, B2) -> np.ndarray:
     return np.hstack([left, right])
 
 
-def comc_dense(C1, C2) -> np.ndarray:
-    """Dense combined C factor [I (x) C2 ; C1 (x) 1^T] (test-scale only)."""
-    C1 = np.atleast_2d(np.asarray(C1, dtype=np.float64))
-    C2 = np.atleast_2d(np.asarray(C2, dtype=np.float64))
-    n1 = C1.shape[1]
-    rows = n1 * C2.shape[0] + C1.shape[0]
-    if rows > MATRIX_CAP:
-        raise ValueError(f"combined row count {rows} exceeds cap {MATRIX_CAP}")
-    top = np.kron(np.eye(n1), C2)
-    bottom = np.kron(C1, np.ones((1, C2.shape[1])))
-    return np.vstack([top, bottom])
-
-
 def recursive_norms(fact: BltFactorization, n1: int, levels: int):
     """Exact (sensitivity, row norm) of ``levels`` compositions of ``fact``'s
     n1-step base, the factors ``recursive_stream(blt_base_factory(fact, m),

@@ -65,23 +65,6 @@ def _as_seq(a) -> ToeplitzSeq:
     return a if isinstance(a, ToeplitzSeq) else ToeplitzSeq(a)
 
 
-def series_reciprocal(a: ToeplitzSeq) -> ToeplitzSeq:
-    """Coefficients of ``1/a(x)`` by long division.
-
-    ``r_0 = 1/a_0`` and ``r_k = -(1/a_0) * sum_{j=1..k} a_j r_{k-j}``; requires
-    ``a_0 != 0``.
-    """
-    c = _as_seq(a).coeffs
-    if c[0] == 0.0:
-        raise ValueError("constant term is zero; series has no reciprocal")
-    n = c.size
-    r = np.zeros(n)
-    r[0] = 1.0 / c[0]
-    for k in range(1, n):
-        r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1]) / c[0]
-    return ToeplitzSeq(r)
-
-
 def ltt_apply_dense(a, Z: np.ndarray) -> np.ndarray:
     """Reference ``LTT(a) @ Z`` for an ``n x m`` input block, O(n^2 m).
 

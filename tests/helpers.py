@@ -2,6 +2,7 @@
 constructions that are deliberately independent of the library internals."""
 
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -9,9 +10,85 @@ from scipy.special import ndtri
 
 from bltnoise import streaming
 from bltnoise.params import BltFactorization, RationalBlt, blt_coeffs
-from bltnoise.recursive import comb_dense, comc_dense
-from bltnoise.seq import ToeplitzSeq, ltt_dense, optimal_coeffs, series_reciprocal
+from bltnoise.recursive import comb_dense
+from bltnoise.seq import MATRIX_CAP, ToeplitzSeq, ltt_dense, optimal_coeffs
 from bltnoise.streaming import _uniform_chunk
+
+
+# --- oracles of the paper's lemmas and of the engine, which only tests call ----
+
+
+def newman_error_bound(d: int) -> float:
+    """Uniform error bound 8*exp(-(pi/2)*sqrt(d-2)) on the closed unit disc."""
+    if d < 3:
+        raise ValueError("d must be >= 3")
+    return 8.0 * math.exp(-0.5 * math.pi * math.sqrt(d - 2))
+
+
+def rational_sqrt_free(x, d_plus: int, d_minus: int, h: float):
+    """Free-step approximant (2h/pi) sum_k x e^{hk}/(x + e^{2hk}) to sqrt(x).
+
+    Test-only building block: the unit-disc approximant equals
+    sqrt(2) * rational_sqrt_free((1-x)/2, ...) at the canonical step.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.complex128)
+    k = np.arange(-d_minus, d_plus + 1)
+    e1 = np.exp(h * k)
+    e2 = np.exp(2.0 * h * k)
+    vals = (2.0 * h / math.pi) * np.sum(
+        x[..., None] * e1 / (x[..., None] + e2), axis=-1
+    )
+    return vals if vals.shape else vals[()]
+
+
+def rational_sqrt_free_bound(x, d_plus: int, d_minus: int, h: float):
+    """Error bound for the free-step approximant at Re(x) >= 0.
+
+    Splits into discretization terms (depending on the phase of x through
+    c = arg(x)/pi) and two truncation terms from the finite ladder.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    c = np.angle(x) / math.pi
+    disc = 1.0 / np.expm1((1.0 - c) * math.pi**2 / h) + 1.0 / np.expm1(
+        (1.0 + c) * math.pi**2 / h
+    )
+    trunc = (2.0 * h / (math.pi * math.expm1(h))) * (
+        np.abs(x) * math.exp(-h * d_plus) + math.exp(-h * d_minus)
+    )
+    vals = 2.0 * np.sqrt(np.abs(x)) * disc + trunc
+    return vals if vals.shape else vals[()]
+
+
+def series_reciprocal(a: ToeplitzSeq) -> ToeplitzSeq:
+    """Coefficients of ``1/a(x)`` by long division.
+
+    ``r_0 = 1/a_0`` and ``r_k = -(1/a_0) * sum_{j=1..k} a_j r_{k-j}``; requires
+    ``a_0 != 0``.
+    """
+    c = a.coeffs if isinstance(a, ToeplitzSeq) else np.asarray(a, dtype=np.float64)
+    if c[0] == 0.0:
+        raise ValueError("constant term is zero; series has no reciprocal")
+    n = c.size
+    r = np.zeros(n)
+    r[0] = 1.0 / c[0]
+    for k in range(1, n):
+        r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1]) / c[0]
+    return ToeplitzSeq(r)
+
+
+def comc_dense(C1, C2) -> np.ndarray:
+    """Dense combined C factor [I (x) C2 ; C1 (x) 1^T] (test-scale only)."""
+    C1 = np.atleast_2d(np.asarray(C1, dtype=np.float64))
+    C2 = np.atleast_2d(np.asarray(C2, dtype=np.float64))
+    n1 = C1.shape[1]
+    rows = n1 * C2.shape[0] + C1.shape[0]
+    if rows > MATRIX_CAP:
+        raise ValueError(f"combined row count {rows} exceeds cap {MATRIX_CAP}")
+    top = np.kron(np.eye(n1), C2)
+    bottom = np.kron(C1, np.ones((1, C2.shape[1])))
+    return np.vstack([top, bottom])
 
 
 def random_rational(rng, degree, theta_lo=0.05, theta_hi=0.98, omega_scale=0.8):
@@ -36,25 +113,59 @@ def random_factorization(rng, degree, n=64):
 
 
 def reciprocal_coeffs_direct(fact, n):
-    """O(n) pole-space oracle: the first ``n`` coefficients of C's generator 1/r.
+    """O(n) oracle: the first ``n`` coefficients of C's generator 1/r.
 
-    Iterates the reciprocal recurrence ``s_k = -theta.y / r0``,
-    ``y <- theta*y - v (theta.y)`` on the exact (theta, omega) parameters the
-    streamer uses, one coefficient per step.  ``sensitivity_of`` evaluates the
-    same recurrence's sum of squares by doubling; this is its reference.
+    Sums ``s_0 = 1`` and ``s_k = sum_j omega_hat_j theta_hat_j^(k-1)`` from
+    the C-side residues and roots the factorization carries, one power per
+    step.  ``sensitivity_of`` sums the same coefficients' squares in closed
+    form; this is its reference.
     """
-    theta = np.append(fact.theta, 0.0)
-    v = np.append(fact.omega / fact.theta, 1.0 - np.sum(fact.omega / fact.theta))
-    r0 = float(v.sum())
-    v = v / r0
     s = np.empty(n)
-    s[0] = 1.0 / r0
-    y = v.copy()
+    s[0] = 1.0
+    y = fact.omega_hat.copy()
     for k in range(1, n):
-        c = theta @ y
-        s[k] = -c / r0
-        y = theta * y - v * c
+        s[k] = y.sum()
+        y = y * fact.theta_hat
     return s
+
+
+# Stored roots of default ``optimize_blt(OptConfig(d, 10**6))`` runs at d = 12
+# and d = 16: several pairs agree to 9-12 digits next to 1, where the ratio
+# form ``1 - z/p`` of a residue factor kept only a few of them.
+CLUSTERED_ROOTS = {
+    12: (
+        [
+            0.23139048878207572, 0.841799717150478, 0.9998878647981108,
+            0.9974084751128017, 0.9996814471073849, 0.9790886711039307,
+            0.9999610776633538, 0.9999958805826127, 0.9999991553024573,
+            0.9999991167956039, 0.9999999997366709, 0.99999999977325,
+        ],
+        [
+            0.6103987939352784, 0.9414695245904643, 0.9998870303096279,
+            0.9926221599939865, 0.9990911571084707, 0.9998892949565471,
+            0.9999867231740419, 0.9999991543326301, 0.9999991135850109,
+            0.9999991585258985, 0.9999999997367568, 0.9999999997746523,
+        ],
+    ),
+    16: (
+        [
+            0.33645010325692837, 0.9309889669128045, 0.9999104297190505,
+            0.998721267875913, 0.9996611051808107, 0.9951648049913855,
+            0.9999763283001344, 0.9999987670483319, 0.9999999997578071,
+            0.9999999992502235, 0.9999999996453734, 0.9999999997589657,
+            0.9999999999348681, 0.9999999999829532, 0.9999999999957068,
+            0.9999999999989326,
+        ],
+        [
+            0.7573605887440757, 0.9816549329692624, 0.9999103754750577,
+            0.9987201657213809, 0.9987234231908797, 0.9999104313277228,
+            0.9999938476364681, 0.9999999997530771, 0.9999999992741788,
+            0.9999999408252389, 0.9999999997589655, 0.9999999997742022,
+            0.9999999999455045, 0.9999999999869116, 0.9999999999967475,
+            0.999999999999182,
+        ],
+    ),
+}
 
 
 def mp_residues(poles, zeros, dps=50):
@@ -85,7 +196,7 @@ def mp_sensitivity(omega_hat, theta_hat, n, dps=50):
     C's generator is ``1/r = 1 + sum_j w_j x / (1 - t_j x)`` with the C-side
     residues w = omega_hat and roots t = theta_hat, so its squared column
     norm is ``1 + sum_{j,k} w_j w_k gamma_{n-1}(t_j t_k)``.  This is the
-    residue form the library evaluated before its single Stein-sum evaluator.
+    residue form ``sensitivity_closed`` evaluates in float.
     """
     with mpmath.workdps(dps):
         w = [mpmath.mpf(x) for x in omega_hat]

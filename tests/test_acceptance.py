@@ -29,8 +29,8 @@ from bltnoise.rational import (
     newman_sqrt,
     ra_blt_build,
 )
-from bltnoise.recursive import blt_base_factory, comb_dense, comc_dense, recursive_stream
-from bltnoise.seq import ltt_apply_dense, ltt_dense, optimal_coeffs, series_reciprocal
+from bltnoise.recursive import blt_base_factory, comb_dense, recursive_stream
+from bltnoise.seq import ltt_apply_dense, ltt_dense, optimal_coeffs
 from bltnoise.streaming import (
     PER_STEP,
     NoiseStreamConfig,
@@ -40,9 +40,11 @@ from bltnoise.streaming import (
 )
 
 from helpers import (
+    comc_dense,
     consumption_perm,
     random_factorization,
     reference_normals,
+    series_reciprocal,
     weighted_parseval_check,
 )
 

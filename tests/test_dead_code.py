@@ -37,16 +37,11 @@ LIBRARY_ENTRY_POINTS = {
     "noise_stream",
 }
 
-# Checks of the paper's lemmas, and the references the engine is tested
-# against, that only tests call.
+# References the engine is tested against that only tests and the benchmark
+# call; the other oracles live in tests/helpers.py.
 TEST_ORACLES = {
-    "newman_error_bound": "closed-disc error bound of the sqrt(1-x) approximant",
-    "rational_sqrt_free": "free-step approximant the unit-disc one is built from",
-    "rational_sqrt_free_bound": "error bound of the free-step approximant",
     "ltt_apply_dense": "dense Toeplitz product that TestStreamStep, TestNoiseStream, criterion 01 and the benchmark's noise check use",
     "comb_dense": "dense combined B factor the recursive streamer is tested against; the benchmark's oracle imports it",
-    "comc_dense": "dense combined C factor that the recursive norms are tested against",
-    "series_reciprocal": "long-division coefficients of 1/r that C's closed-form norm is tested against",
 }
 
 # Public class members that no package code reads.

@@ -1,6 +1,7 @@
 """Tests for the closed-form error norms and the reference bound table.
 
-Both norms come from one doubling Stein sum.  They are checked three ways:
+Both norms are Gram forms over one geometric-sum kernel.  They are checked
+three ways:
 hand-computed small cases, direct O(n d) coefficient summation, and
 high-precision residue-form oracles (mpmath, ``tests/helpers.py``) aimed at
 poles next to 1, where the textbook geometric-sum ratio loses all digits.
@@ -32,9 +33,10 @@ from bltnoise.error_eval import (
 )
 from bltnoise.params import _N_MAX, BltFactorization, blt_coeffs, degree1_closed_form
 from bltnoise.rational import ra_blt_build
-from bltnoise.seq import optimal_coeffs, series_reciprocal
+from bltnoise.seq import optimal_coeffs
 
 from helpers import (
+    CLUSTERED_ROOTS,
     matousek_lb_direct,
     mp_csc_sum,
     mp_opt_lt_toe,
@@ -46,59 +48,77 @@ from helpers import (
     random_factorization,
     random_rational,
     reciprocal_coeffs_direct,
+    series_reciprocal,
 )
 
 
-def direct_stein(M, v, n):
-    """``sum_{j<n} M^j v v^T (M^j)^T`` one power at a time."""
-    G = np.zeros((v.size, v.size), dtype=np.result_type(M, v))
-    x = v
-    for _ in range(n):
-        G += np.outer(x, x)
-        x = M @ x
-    return G
+def mp_geometric(e, N, dps=60):
+    """``sum_{j<N} (1 - e)^j`` in mpmath, for real or complex ``e``, and its
+    derivative in ``e``."""
+    with mpmath.workdps(dps):
+        e = mpmath.mpmathify(e)
+        q = 1 - e
+        value = (1 - q**N) / e
+        return value, N * q ** (N - 1) / e - value / e
 
 
 class TestStein:
-    """``geometric_prefix``, the doubling Stein sum both norms evaluate."""
+    """``geometric_prefix(e, N)``, the elementwise geometric sum both norms
+    are Gram forms of."""
 
     def test_hand_value(self):
-        # 1 + 1/4 + 1/16
-        assert geometric_prefix(np.array([[0.5]]), np.array([1.0]), 3)[0, 0] == 1.3125
+        # 1 + 1/2 + 1/4, and a zero ratio sums to its first term
+        np.testing.assert_allclose(geometric_prefix(0.5, 3), 1.75, rtol=1e-15)
+        assert geometric_prefix(1.0, 3) == 1.0
 
     def test_zero_terms(self):
-        G = geometric_prefix(np.eye(3), np.ones(3), 0)
+        G = geometric_prefix(np.full((3, 3), 0.25), 0)
         assert G.shape == (3, 3) and not G.any()
 
     def test_rejects_negative_n(self):
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            geometric_prefix(np.eye(2), np.ones(2), -1)
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            geometric_prefix(np.full(2, 0.5), -1)
+
+    def test_exactly_n_at_zero(self):
+        for N in (1, 2, 7, 10**6, 2**53 + 1, _N_MAX):
+            got = geometric_prefix(np.array([0.0, 0.0j]), N)
+            assert got[0] == float(N) and got[1] == float(N)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 7, 64, 1000):
-            M = 0.3 * rng.standard_normal((4, 4))
-            v = rng.standard_normal(4)
-            np.testing.assert_allclose(geometric_prefix(M, v, n), direct_stein(M, v, n), rtol=1e-12)
+        e = rng.uniform(0.0, 1.0, 20)
+        for N in (1, 2, 3, 7, 64, 1000):
+            direct = np.sum((1.0 - e[:, None]) ** np.arange(N), axis=1)
+            np.testing.assert_allclose(geometric_prefix(e, N), direct, rtol=1e-13)
+
+    @pytest.mark.parametrize("N", [10**3, 10**6, 10**12, 2**50])
+    def test_matches_mpmath_next_to_one(self, N):
+        for k in range(3, 15):
+            e = 10.0**-k
+            want, _ = mp_geometric(e, N)
+            assert abs(geometric_prefix(e, N) - want) <= 1e-15 * want, (e, N)
 
     def test_batch_matches_each_slice(self):
         rng = np.random.default_rng(13)
-        M = 0.3 * rng.standard_normal((3, 2, 4, 4))
-        v = rng.standard_normal((3, 2, 4))
-        G = geometric_prefix(M, v, 777)
-        for idx in np.ndindex(3, 2):
-            np.testing.assert_array_equal(G[idx], geometric_prefix(M[idx], v[idx], 777))
+        e = rng.uniform(0.0, 1.0, (3, 2, 4))
+        G = geometric_prefix(e, 777)
+        for idx in np.ndindex(3, 2, 4):
+            assert G[idx] == geometric_prefix(e[idx], 777)
 
-    def test_complex_step_is_not_conjugated(self):
-        """A 1e-20 imaginary step gives the derivative of the real sum."""
-        rng = np.random.default_rng(14)
-        M = 0.3 * rng.standard_normal((4, 4))
-        v = rng.standard_normal(4)
-        dM = rng.standard_normal((4, 4))
-        n, h = 100, 1e-6
-        got = geometric_prefix(M + 1e-20j * dM, v, n).imag / 1e-20
-        fd = (direct_stein(M + h * dM, v, n) - direct_stein(M - h * dM, v, n)) / (2 * h)
-        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8 * np.abs(fd).max())
+    @pytest.mark.parametrize("N", [10**3, 10**6, 10**12, 2**50])
+    def test_complex_step_is_not_conjugated(self, N):
+        """A 1e-20 imaginary step gives the derivative of the real sum, also
+        at |e| = 1e-14, where numpy's complex log1p would lose it.  Both parts
+        match the complex sum; it differs from the derivative by the step's
+        own (h/e)^2 term, 1e-12 relative at e = 1e-14."""
+        for k in range(3, 15):
+            e = 10.0**-k
+            want, _ = mp_geometric(mpmath.mpc(e, 1e-20), N)
+            _, slope = mp_geometric(e, N)
+            got = geometric_prefix(e + 1e-20j, N)
+            assert abs(got.real - want.real) <= 1e-15 * abs(want.real), (e, N)
+            assert abs(got.imag - want.imag) <= 1e-15 * abs(want.imag), (e, N)
+            assert abs(got.imag / 1e-20 - slope) <= 1e-13 * abs(slope) + (1e-20 / e) ** 2 * abs(slope), (e, N)
 
 
 class TestGeometricPrefix:
@@ -122,7 +142,7 @@ class TestGeometricPrefix:
         # r = [1, 1, 1, ...], so b_i = i + 1 and sum_{i<100} b_i^2 = 338350
         assert rownorm_closed([1.0], [1.0], 100) == math.sqrt(338350)
         # C-side pole at 1: 1/r = (1 - x/2)/(1 - x) = 1 + x/2 + x^2/2 + ...
-        assert sensitivity_closed([-0.5], [0.5], 100) == math.sqrt(1.0 + 0.25 * 99)
+        assert sensitivity_closed([0.5], [1.0], 100) == math.sqrt(1.0 + 0.25 * 99)
 
     def test_zero_terms(self):
         assert rownorm_closed([0.3], [0.7], 0) == 0.0
@@ -132,11 +152,11 @@ class TestGeometricPrefix:
             for w in (0.5, -(1.0 - theta) / 2, -1.0):
                 got = rownorm_closed([w], [theta], n)
                 np.testing.assert_allclose(got, mp_rownorm([w], [theta], n, dps=60), rtol=1e-9)
-            # the same regimes as C's pole theta_hat; for d=1 the residues are
-            # the exact root differences
+            # the same regimes as C's pole theta_hat; for d=1 its residue is
+            # the exact root difference
             theta_hat = theta
             for pole in (0.5, theta_hat - 1e-3, theta_hat - 1e-8):
-                got = sensitivity_closed([pole - theta_hat], [pole], n)
+                got = sensitivity_closed([theta_hat - pole], [theta_hat], n)
                 want = mp_sensitivity([theta_hat - pole], [theta_hat], n, dps=60)
                 np.testing.assert_allclose(got, want, rtol=1e-9)
 
@@ -146,7 +166,7 @@ class TestGeometricPrefix:
         got = rownorm_closed([0.25], [theta], 3)
         b = np.cumsum([1.0, 0.25, 0.25 * theta])
         np.testing.assert_allclose(got, math.sqrt(np.sum(b * b)), rtol=1e-15)
-        got = sensitivity_closed([-0.25], [theta - 0.25], 3)
+        got = sensitivity_closed([0.25], [theta], 3)
         # 1/r = 1 + 0.25 x + 0.25 theta x^2 + ...
         np.testing.assert_allclose(got, math.sqrt(1.0 + 0.0625 * (1.0 + theta * theta)), rtol=1e-15)
 
@@ -207,6 +227,7 @@ class TestGsumOracles:
             np.testing.assert_allclose(
                 rownorm_closed(w, t, n), rownorm_closed(w[::-1], t[::-1], n), rtol=1e-12
             )
+            w, t = fact.omega_hat, fact.theta_hat
             np.testing.assert_allclose(
                 sensitivity_closed(w, t, n), sensitivity_closed(w[::-1], t[::-1], n), rtol=1e-12
             )
@@ -214,9 +235,9 @@ class TestGsumOracles:
 
 class TestSensitivityClosed:
     def test_hand_value(self):
-        # omega = theta = 1/2: r = 1/(1 - x/2), so 1/r = 1 - x/2
+        # omega_hat = theta_hat = 1/2: 1/r = 1 + x/2 + x^2/4 + ...
         got = sensitivity_closed([0.5], [0.5], 3)
-        np.testing.assert_allclose(got, math.sqrt(1.25), rtol=1e-15)
+        np.testing.assert_allclose(got, math.sqrt(1.3125), rtol=1e-15)
 
     def test_degree_zero(self):
         for n in (1, 10, 10**6):
@@ -227,7 +248,7 @@ class TestSensitivityClosed:
         for n in (16, 256, 4096):
             for _ in range(5):
                 fact = random_factorization(rng, 3, n)
-                got = sensitivity_closed(fact.omega, fact.theta, n)
+                got = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
                 s = series_reciprocal(blt_coeffs(fact.rational(), n)).coeffs
                 np.testing.assert_allclose(got, math.sqrt(np.sum(s * s)), rtol=1e-10)
 
@@ -237,10 +258,10 @@ class TestSensitivityClosed:
         For exact arithmetic the radicand is a Gram form and stays >= 1, so
         the only way to reach the error path is float cancellation: two nearly
         equal poles with huge opposite residues amplify the rounding noise of
-        the Stein sum past the 1 it is added to.
+        the Gram form past the 1 it is added to.
         """
         with pytest.raises(ValueError, match="negative or non-finite squared sensitivity"):
-            sensitivity_closed([1e6, -1e6], [0.3, 0.3 + 3e-13], 100)
+            sensitivity_closed([1e9, -1e9], [0.3, 0.3 + 3e-13], 100)
         with pytest.raises(ValueError, match="negative or non-finite squared row norm"):
             rownorm_closed([1e9, -1e9], [0.3, 0.3 + 3e-13], 100)
 
@@ -252,17 +273,15 @@ class TestSensitivityClosed:
     def test_batch_matches_each_row(self):
         rng = np.random.default_rng(79)
         facts = [random_factorization(rng, 3, 100) for _ in range(4)]
-        omega = np.array([f.omega for f in facts])
-        theta = np.array([f.theta for f in facts])
-        for norm in (sensitivity_closed, rownorm_closed):
-            got = norm(omega, theta, 1000)
+        for norm, w, t in ((sensitivity_closed, "omega_hat", "theta_hat"), (rownorm_closed, "omega", "theta")):
+            got = norm(np.array([getattr(f, w) for f in facts]), np.array([getattr(f, t) for f in facts]), 1000)
             assert got.shape == (4,)
             for i, f in enumerate(facts):
-                assert got[i] == norm(f.omega, f.theta, 1000)
+                assert got[i] == norm(getattr(f, w), getattr(f, t), 1000)
 
 
 class TestSensitivityOf:
-    """The doubling evaluator against mpmath, the O(n) oracle and the residue form."""
+    """The closed form against mpmath, the O(n) oracle and the residue form."""
 
     # ||C||_{1->2} of ra_blt_build(5, n) at n: the exact-pole reciprocal
     # recurrence of test_rational.TestRaBltBuild._mp_sensitivity summed
@@ -316,13 +335,11 @@ class TestSensitivityOf:
 
 
 class TestFarHorizon:
-    """Both norms of the optimized d=5, n=10^5 factorization far past its n.
-
-    ``ra`` is left out: its row norm is ill-conditioned at r(1) = 0.
-    """
+    """Both norms far past a factorization's n, against 60-digit sums."""
 
     @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 2**50])
     def test_matches_mpmath(self, n):
+        """The optimized d=5, n=10^5 factorization."""
         fact = optimized_d5()
         omega = mp_residues(fact.theta, fact.theta_hat)
         omega_hat = mp_residues(fact.theta_hat, fact.theta)
@@ -330,6 +347,27 @@ class TestFarHorizon:
         want_row = mp_rownorm(omega, fact.theta, n)
         np.testing.assert_allclose(sensitivity_of(fact, n), want_sens, rtol=1e-10)
         np.testing.assert_allclose(rownorm_of(fact, n), want_row, rtol=1e-10)
+
+    @pytest.mark.parametrize("degree", [5, 9])
+    @pytest.mark.parametrize("n", [10**12, 2**50])
+    def test_ra_matches_mpmath(self, degree, n):
+        """``ra`` with its exact zero at x = 1, from the residues it carries:
+        its stored roots define residues up to 1.3e-12 away at d=9."""
+        fact = ra_blt_build(degree, 10**6)
+        want_sens = mp_sensitivity(fact.omega_hat, fact.theta_hat, n, dps=60)
+        want_row = mp_rownorm(fact.omega, fact.theta, n, dps=60)
+        np.testing.assert_allclose(sensitivity_of(fact, n), want_sens, rtol=1e-12)
+        np.testing.assert_allclose(rownorm_of(fact, n), want_row, rtol=1e-12)
+
+    @pytest.mark.parametrize("degree, rtol", [(12, 1e-12), (16, 1e-11)])
+    def test_clustered_row_norm_matches_mpmath(self, degree, rtol):
+        """Optimized roots that agree to 9-12 digits next to 1, at 10^12.  The
+        Gram form cancels between the poles' terms; at d=16 it reads 5.1e-12,
+        the worst case measured."""
+        n = 10**12
+        fact = BltFactorization(*CLUSTERED_ROOTS[degree], n=10**6)
+        want = mp_rownorm(mp_residues(fact.theta, fact.theta_hat, dps=60), fact.theta, n, dps=60)
+        np.testing.assert_allclose(rownorm_of(fact, n), want, rtol=rtol)
 
 
 class TestRownormClosed:
@@ -366,7 +404,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(5)
         fact = random_factorization(rng, 3, 64)
         ns = [2, 4, 8, 64, 256, 1024, 4096]
-        sens = [sensitivity_closed(fact.omega, fact.theta, n) for n in ns]
+        sens = [sensitivity_closed(fact.omega_hat, fact.theta_hat, n) for n in ns]
         rown = [rownorm_closed(fact.omega, fact.theta, n) for n in ns]
         assert all(b >= a - 1e-12 for a, b in zip(sens, sens[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(rown, rown[1:]))

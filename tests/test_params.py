@@ -15,48 +15,17 @@ from bltnoise.params import (
     residues_from_roots,
     save_factorization,
 )
-from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, series_reciprocal
+from bltnoise.seq import ToeplitzSeq, ltt_apply_dense
 from bltnoise.streaming import NoiseStreamConfig
 
-from helpers import cauchy_product, mp_residues, random_factorization, random_rational
-
-# Stored roots of default ``optimize_blt(OptConfig(d, 10**6))`` runs at d = 12
-# and d = 16: several pairs agree to 9-12 digits next to 1, where the ratio
-# form ``1 - z/p`` of a residue factor kept only a few of them.
-CLUSTERED_ROOTS = {
-    12: (
-        [
-            0.23139048878207572, 0.841799717150478, 0.9998878647981108,
-            0.9974084751128017, 0.9996814471073849, 0.9790886711039307,
-            0.9999610776633538, 0.9999958805826127, 0.9999991553024573,
-            0.9999991167956039, 0.9999999997366709, 0.99999999977325,
-        ],
-        [
-            0.6103987939352784, 0.9414695245904643, 0.9998870303096279,
-            0.9926221599939865, 0.9990911571084707, 0.9998892949565471,
-            0.9999867231740419, 0.9999991543326301, 0.9999991135850109,
-            0.9999991585258985, 0.9999999997367568, 0.9999999997746523,
-        ],
-    ),
-    16: (
-        [
-            0.33645010325692837, 0.9309889669128045, 0.9999104297190505,
-            0.998721267875913, 0.9996611051808107, 0.9951648049913855,
-            0.9999763283001344, 0.9999987670483319, 0.9999999997578071,
-            0.9999999992502235, 0.9999999996453734, 0.9999999997589657,
-            0.9999999999348681, 0.9999999999829532, 0.9999999999957068,
-            0.9999999999989326,
-        ],
-        [
-            0.7573605887440757, 0.9816549329692624, 0.9999103754750577,
-            0.9987201657213809, 0.9987234231908797, 0.9999104313277228,
-            0.9999938476364681, 0.9999999997530771, 0.9999999992741788,
-            0.9999999408252389, 0.9999999997589655, 0.9999999997742022,
-            0.9999999999455045, 0.9999999999869116, 0.9999999999967475,
-            0.999999999999182,
-        ],
-    ),
-}
+from helpers import (
+    CLUSTERED_ROOTS,
+    cauchy_product,
+    mp_residues,
+    random_factorization,
+    random_rational,
+    series_reciprocal,
+)
 
 
 def power_coeffs(theta, omega, n):
@@ -248,7 +217,7 @@ class TestDegree1ClosedForm:
             fact = degree1_closed_form(n)
             lam = fact.theta_hat[0]
             a2 = lam - fact.theta[0]
-            sens = sensitivity_closed(fact.omega, fact.theta, n)
+            sens = sensitivity_closed(fact.omega_hat, fact.theta_hat, n)
             assert sens**2 <= 1.0 + a2**2 / (1.0 - lam**2) + 1e-12
 
     def test_rejects_small_n(self):

@@ -11,15 +11,18 @@ from bltnoise.error_eval import max_err, opt_lt_toe, sensitivity_of
 from bltnoise.params import blt_coeffs
 from bltnoise.rational import (
     degree_for_error,
-    newman_error_bound,
     newman_sqrt,
     ra_blt_build,
+)
+from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, optimal_coeffs
+
+from helpers import (
+    newman_error_bound,
     rational_sqrt_free,
     rational_sqrt_free_bound,
+    series_reciprocal,
+    weighted_parseval_check,
 )
-from bltnoise.seq import ToeplitzSeq, ltt_apply_dense, optimal_coeffs, series_reciprocal
-
-from helpers import weighted_parseval_check
 
 
 def unit_circle(num):

@@ -20,7 +20,6 @@ from bltnoise.recursive import (
     _check_levels,
     blt_base_factory,
     comb_dense,
-    comc_dense,
     recursive_norms,
     recursive_stream,
     theorem2_params,
@@ -28,6 +27,7 @@ from bltnoise.recursive import (
 from bltnoise.seq import ltt_dense
 
 from helpers import (
+    comc_dense,
     bintree_dense,
     blt_dense_pair,
     consumption_perm,

@@ -11,10 +11,9 @@ from bltnoise.seq import (
     ltt_apply_dense,
     ltt_dense,
     optimal_coeffs,
-    series_reciprocal,
 )
 
-from helpers import cauchy_product
+from helpers import cauchy_product, series_reciprocal
 
 
 class TestOptimalCoeffs:
