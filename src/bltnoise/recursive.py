@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .error_eval import rownorm_of, sensitivity_of
-from .params import BltFactorization, _check_horizon, _is_int, blt_coeffs
+from .params import _N_MAX, BltFactorization, _check_horizon, _is_int, blt_coeffs
 from .rational import _degree_a
 from .seq import MATRIX_CAP, ltt_dense
 from .streaming import _TILE_VALUES
@@ -211,19 +211,25 @@ def theorem2_params(n: int):
     """Horizon-robust parameter choice (n1, d, levels) for a recursive RA base.
 
     Base size n1 ~ ln(n) (clamped to >= 5), base degree sufficient for
-    horizon n1, and enough levels to cover n: levels = ceil(ln n / ln n1).
-    Refuses an n whose composition draws past 2**63 - 1 noise rows (from
-    about 2**59), which ``recursive_stream`` and ``blt recursive`` refuse.
+    horizon n1, and the fewest levels that cover n, the least with
+    n1**levels >= n.  Where that composition draws past 2**63 - 1 noise rows,
+    n1 grows to the least that fits with fewer levels, down to two; n above
+    3037000499**2 (about 2**62.99999999) fits none and is refused, as
+    ``recursive_stream`` and ``blt recursive`` would refuse it.
     """
     _check_horizon(n)
     if n < 25:
         raise ValueError("n must be >= 25")
-    ln_n = math.log(n)
-    n1 = max(5, math.ceil(ln_n))
-    d = _degree_a(n1)
-    levels = math.ceil(ln_n / math.log(n1) - 1e-12)
+    n1, levels = max(5, math.ceil(math.log(n))), 1
+    while n1**levels < n:
+        levels += 1
+    while levels > 2 and _draws(n1, levels) > _N_MAX:
+        levels -= 1
+        n1 = max(n1, round(n ** (1.0 / levels)) - 1)
+        while n1**levels < n:
+            n1 += 1
     try:
         _check_levels(n1, levels)
     except ValueError as exc:
         raise ValueError(f"n = {n}: {exc}") from None
-    return n1, d, levels
+    return n1, _degree_a(n1), levels

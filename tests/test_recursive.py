@@ -41,6 +41,11 @@ def ones_lt(n):
     return np.tril(np.ones((n, n)))
 
 
+# The largest n with a composition of at least two levels that draws at most
+# 2**63 - 1 rows: 3037000499 + 3037000499**2 fits, 3037000500 + 3037000500**2 does not
+LARGEST_COMPOSED = 3037000499**2
+
+
 class TestCombineIdentities:
     def test_worked_six_step_example(self):
         # trivial bases (B = A, C = I) for 2 and 3 steps combine into the
@@ -430,16 +435,33 @@ class TestTheorem2Params:
         with pytest.raises(ValueError):
             theorem2_params(24)
 
-    @pytest.mark.parametrize("n", [25.5, 2**62, 2**63 - 1, 2**63])
+    @pytest.mark.parametrize("n", [25.5, 2**63 - 1, 2**63])
     def test_unbuildable_n_rejected(self, n):
-        # 2**62 and 2**63 - 1 give compositions that draw past 2**63 - 1 rows
+        # 2**63 - 1 gives compositions that draw past 2**63 - 1 rows
         with pytest.raises(ValueError, match=rf"^n( = {n}:| must be a positive integer)"):
             theorem2_params(n)
 
+    @pytest.mark.parametrize(
+        "n, n1, levels",
+        [(round(2**58.94), 42, 11), (2**59, 42, 11), (2**60, 44, 11), (2**62, 50, 11), (LARGEST_COMPOSED, 3037000499, 2)],
+    )
+    def test_base_grows_to_fit_the_draw_cap(self, n, n1, levels):
+        # n1 = ceil(ln n) draws past 2**63 - 1 rows here: at 2**62, n1 = 43-49
+        # are refused too, and n1 = 50 with 11 levels draws 4.98e18 rows
+        got = theorem2_params(n)
+        assert (got[0], got[2]) == (n1, levels)
+        assert _check_levels(n1, levels) <= 2**63 - 1
+
+    def test_largest_composed_n(self):
+        with pytest.raises(ValueError, match=rf"^n = {LARGEST_COMPOSED + 1}: levels = 2 of a 3037000500-step base"):
+            theorem2_params(LARGEST_COMPOSED + 1)
+
     def test_every_returned_composition_is_buildable(self):
-        # 16 points per octave up to 2**58; the first refused n is near 2**58.94
-        for k in range(16 * 5, 16 * 58 + 1):
-            n1, _, levels = theorem2_params(round(2 ** (k / 16)))
+        # 16 points per octave up to 2**62.9375, and the largest composed n
+        ns = [round(2 ** (k / 16)) for k in range(16 * 5, 16 * 63)] + [LARGEST_COMPOSED]
+        for n in ns:
+            n1, _, levels = theorem2_params(n)
+            assert n1**levels >= n
             _check_levels(n1, levels)
 
     def test_bound_at_ten_thousand(self):
