@@ -130,8 +130,8 @@ def reciprocal_coeffs_direct(fact, n):
 
 
 # Stored roots of default ``optimize_blt(OptConfig(d, 10**6))`` runs at d = 12
-# and d = 16: several pairs agree to 9-12 digits next to 1, where the ratio
-# form ``1 - z/p`` of a residue factor kept only a few of them.
+# and d = 16: several pairs agree to 9-12 digits next to 1, where a ratio
+# ``1 - z/p`` of two roots keeps only a few digits.
 CLUSTERED_ROOTS = {
     12: (
         [

@@ -100,7 +100,7 @@ class TestResiduesFromRoots:
     @pytest.mark.parametrize("degree", [12, 16])
     def test_clustered_roots_match_mpmath(self, degree):
         """Differences of roots next to 1 are exact, so both residue vectors
-        keep full precision where the ratio form lost up to 4.5e-8."""
+        keep full precision; a ratio 1 - z/p rounds at one ulp of 1."""
         theta, theta_hat = (np.array(r) for r in CLUSTERED_ROOTS[degree])
         for got, poles, zeros in zip(residues_from_roots(theta, theta_hat), (theta, theta_hat), (theta_hat, theta)):
             want = np.array([float(x) for x in mp_residues(poles, zeros, dps=60)])

@@ -120,6 +120,7 @@ COMMANDS = [
      ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--seed", str(2**64 - 1),
       "--out", "smax.csv"]),
     ("shard-300", ["-c", SHARD]),
+    ("eval-ra5-2**50", ["eval", "--blt", "ra5.json", "--steps", str(2**50)]),
     ("verify", ["verify", "--blt", "ra5.json", "--steps", "2000", "--dim", "3"]),
     ("verify-past-cap", ["verify", "--blt", "ra5.json", "--steps", "20000", "--dim", "2"]),
     ("recursive", ["recursive", "--base", "ra3.json", "--levels", "3"]),
