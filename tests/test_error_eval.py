@@ -7,6 +7,7 @@ high-precision residue-form oracles (mpmath, ``tests/helpers.py``) aimed at
 poles next to 1, where the textbook geometric-sum ratio loses all digits.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -105,13 +106,12 @@ class TestStein:
         for idx in np.ndindex(3, 2, 4):
             assert G[idx] == geometric_prefix(e[idx], 777)
 
-    @pytest.mark.parametrize("N", [10**3, 10**6, 10**12, 2**50])
-    def test_complex_step_is_not_conjugated(self, N):
+    def test_complex_step_is_not_conjugated(self):
         """A 1e-20 imaginary step gives the derivative of the real sum, also
         at |e| = 1e-14, where numpy's complex log1p would lose it.  Both parts
         match the complex sum; it differs from the derivative by the step's
         own (h/e)^2 term, 1e-12 relative at e = 1e-14."""
-        for k in range(3, 15):
+        for N, k in itertools.product((10**3, 10**6, 10**12, 2**50), range(3, 15)):
             e = 10.0**-k
             want, _ = mp_geometric(mpmath.mpc(e, 1e-20), N)
             _, slope = mp_geometric(e, N)
@@ -122,8 +122,9 @@ class TestStein:
 
 
 class TestGeometricPrefix:
-    """Poles next to 1 in both norms, in the regimes the old series zone
-    ``n |1 - theta| < 1/2`` split: theta = 1, just inside, just outside."""
+    """Poles next to 1 in both norms: far inside the row norm's series zone
+    ``n log(1/theta) < 1``, and on both sides of ``n |1 - theta| = 1/2`` and
+    of its edge."""
 
     REGIMES = [
         (1.0 - 1e-12, 10**6),
@@ -131,6 +132,8 @@ class TestGeometricPrefix:
         (1.0 - 1e-7, 10**5),
         (1.0 - 4.9e-7, 10**6),   # n |1 - theta| = 0.49
         (1.0 - 5.1e-7, 10**6),   # n |1 - theta| = 0.51
+        (1.0 - 9.9e-7, 10**6),   # n log(1/theta) just below 1
+        (1.0 - 1.01e-6, 10**6),  # and just above
     ]
 
     def test_hand_value(self):

@@ -309,7 +309,7 @@ class TestStopReason:
         assert res.factorization.meta["iterations"] == iterations
         assert res.factorization.meta["final_ratio"] == pytest.approx(ratio, rel=1e-12)
 
-    def test_degree_10_runs_past_the_old_plateau(self):
+    def test_degree_10_still_descends_at_max_iters(self):
         # the d=10 search still lowers the loss at the default 500 iterations;
         # with max_iters=3000 it stops for no_decrease at 602, at 1.0000042103
         res = optimize_blt(OptConfig(degree=10, n=10**5))
