@@ -35,6 +35,7 @@ EULER_GAMMA = 0.5772156649015329
 # denominator keeps its digits, or a complex step's, there.
 _SERIES_X = 1.0
 _SERIES_ORDER = 24
+_LOG_TINY = -745.0  # below log of the least positive float64
 
 
 @functools.lru_cache(maxsize=16)
@@ -54,14 +55,18 @@ def _series_weights(N: int):
 
 
 def _log_q(e):
-    """``log(1 - e)``; for complex ``e = a + ib`` as ``0.5 log1p(a(a - 2) + b^2)
-    + i atan2(-b, 1 - a)``, since numpy's complex ``log1p`` loses the real
-    part's digits at small |e|."""
-    if np.iscomplexobj(e):
-        a, b = e.real, e.imag
-        return 0.5 * np.log1p(a * (a - 2.0) + b * b) + 1j * np.arctan2(-b, 1.0 - a)
+    """``log(1 - e)``, held at -745 or above, where ``1 - e`` is 0 to float64
+    (also where a complement of a tiny product rounds to 1), so that ``N``
+    times it stays finite.  For complex ``e = a + ib`` the real part is
+    ``0.5 log1p(a(a - 2) + b^2)``, since numpy's complex ``log1p`` loses its
+    digits at small |e|, and ``log|1 - e|`` from |a| = 1/2 up, where ``a(a -
+    2)`` would round ``|1 - e|^2`` away; the imaginary part is ``atan2(-b, 1 - a)``."""
     with np.errstate(divide="ignore"):
-        return np.log1p(-e)
+        if not np.iscomplexobj(e):
+            return np.maximum(np.log1p(-e), _LOG_TINY)
+        a, b = e.real, e.imag
+        mag = np.where(np.abs(a) < 0.5, 0.5 * np.log1p(a * (a - 2.0) + b * b), np.log(np.abs(1.0 - e)))
+        return np.maximum(mag, _LOG_TINY) + 1j * np.arctan2(-b, 1.0 - a)
 
 
 def geometric_prefix(e, N: int):

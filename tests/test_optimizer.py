@@ -95,6 +95,15 @@ class TestGradient:
         # the C-side roots' products, then the B-side poles' and 1's
         assert calls == [(2 * degree, degree, degree), (2 * degree, degree + 1, degree + 1)]
 
+    def test_roots_next_to_zero(self):
+        # a pole and a zero below 1e-16: their complements round to 1, and
+        # the gradient stays finite and exact in the other coordinates
+        theta, theta_hat, n = np.array([0.9, 4.3e-17]), np.array([0.95, 4.4e-17]), 10**6
+        g = gradient(theta, theta_hat, n, W)
+        assert np.all(np.isfinite(g))
+        fd = fd_gradient(theta, theta_hat, n, W, h=1e-9)
+        np.testing.assert_allclose(g[[0, 2]], fd[[0, 2]], rtol=1e-6)
+
     def test_crossed_ladder_raises(self):
         # theta_hat below theta makes the C-side residue negative, which the
         # barrier maps to an infinite loss
