@@ -124,7 +124,7 @@ def rownorm_closed(omega, theta, n: int):
     every digit, keeps ``K_s(j) = ell_s sum_m (-x_s)^m j^(m+1) / (n^m (m+1)!)``,
     ``ell_s = log(1/theta_s) / e_s``: its sums against 1 and the near poles
     are series in x, and against a far pole b, ``sum_j K_s(j) theta_b^j =
-    (theta_b K_b - theta_b^n K_s) / (e_s + e_b - e_s e_b)``, ``K = K(n)``.
+    (theta_b K_b(n) - theta_b^n K_s(n)) / (e_s + e_b - e_s e_b)``.
     """
     omega = np.asarray(omega)
     theta = np.asarray(theta)
