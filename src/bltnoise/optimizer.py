@@ -78,11 +78,17 @@ class OptResult:
 def geometric_ladder(degree: int, n: int):
     """Default initialization: poles approach 1 on a ratio-1/4 ladder with the
     C-side roots offset a fraction 1/(2 sqrt(n)) of each pole's gap to 1, which
-    interlaces the two ladders (all derived C-side residues positive)."""
+    interlaces the two ladders (all derived C-side residues positive).  Where
+    an offset rounds away (a root on its pole, or on 1), the ratio widens until
+    the deepest offset is 16 ulps of 1, keeping the last pole's gap to 1 at
+    most half the first one's, so the poles stay apart."""
     i = np.arange(degree)
     c = 1.0 / math.sqrt(n)
-    theta = 1.0 - c * 0.25**i
-    theta_hat = theta + (1.0 - theta) / (2.0 * math.sqrt(n))
+    for ratio in (0.25, min(32 * 2.0**-53 * n, 0.5) ** (1 / max(1, degree - 1))):
+        theta = 1.0 - c * ratio**i
+        theta_hat = theta + (1.0 - theta) / (2.0 * math.sqrt(n))
+        if np.all((theta < theta_hat) & (theta_hat < 1.0)):
+            break
     return theta, theta_hat
 
 

@@ -156,7 +156,7 @@ class BltFactorization:
         for name, arr in (("theta", theta), ("theta_hat", theta_hat)):
             if not (np.all(arr > 0.0) and np.all(arr <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
-            if np.unique(arr).size != arr.size:
+            if np.any(np.diff(np.sort(arr)) == 0):
                 raise ValueError(f"{name} entries must be pairwise distinct")
         _check_horizon(self.n)
         if self.method not in _METHODS:

@@ -368,7 +368,9 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
         cols = np.asarray(columns, dtype=np.intp)
         if cols.size and (cols.min() < 0 or cols.max() >= cfg.m):
             raise ValueError("column indices out of range")
-        tiles = np.unique(cols // _TILE) * _TILE
+        # the requested tiles, sorted and deduped (np.unique would load numpy.ma)
+        tiles = np.sort(cols // _TILE, axis=None)
+        tiles = tiles[np.diff(tiles, prepend=-1) != 0] * _TILE
         # the computed tiles' columns, and each requested column's place among them
         keep = (tiles[:, None] + np.arange(_TILE)).ravel()
         keep = keep[keep < cfg.m]

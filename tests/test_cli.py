@@ -577,6 +577,15 @@ class TestOptimize:
         assert meta["stop_reason"] == info["stop_reason"]
         assert meta["iterations"] == info["iterations"]
 
+    def test_default_start_widens_where_the_ladder_collapses(self, capsys, tmp_path):
+        # the ratio-1/4 ladder's theta_hat[17] rounds onto theta[17] at n = 10**6
+        code, out, _ = run(
+            capsys, "optimize", "--degree", "18", "--steps", "1000000",
+            "--max-iters", "5", "--out", str(tmp_path / "opt.json"),
+        )
+        assert code == 0
+        assert json.loads(out)["iterations"] == 5
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -647,8 +656,9 @@ class TestMalformedInputs:
             (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", "1000,0"], None, 2, "--n-grid"),
             (["compare", "--methods", "ra", "--degrees", "3", "--n-grid", str(2**63)], None, 2, "--n-grid"),
             (["compare", "--methods", "opt", "--degrees", "0", "--n-grid", "100"], None, 2, "--degrees"),
-            # the default start's poles round to 1.0; the caller passed no init
-            (["optimize", "--degree", "26", "--steps", "1000000"], None, 2, "geometric_ladder(degree=26, n=1000000)"),
+            # the default start's C-side roots round onto their poles even on
+            # the widened ladder; the caller passed no init
+            (["optimize", "--degree", "26", "--steps", str(10**16)], None, 2, f"geometric_ladder(degree=26, n={10**16})"),
             # a horizon below a construction's minimum names the flag
             (["optimize", "--degree", "2", "--steps", "1"], None, 2, "--steps"),
             (["build", "--method", "degree1", "--steps", "1"], None, 2, "--steps"),
@@ -665,8 +675,8 @@ class TestMalformedInputs:
                 2,
                 "--levels",
             ),
-            # the default start's theta_hat[17] rounds onto its theta[17]: the loss is +inf
-            (["optimize", "--degree", "18", "--steps", "1000000"], None, 2, "geometric_ladder(degree=18, n=1000000)"),
+            # at n = 10**16 even degree 1's root rounds onto its pole: the loss is +inf
+            (["optimize", "--degree", "18", "--steps", str(10**16)], None, 2, f"geometric_ladder(degree=18, n={10**16})"),
         ],
     )
     def test_exit_code_and_named_field(self, tmp_path, argv, edit, code, named):

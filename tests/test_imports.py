@@ -9,6 +9,10 @@ The noise engine's worker thread is built on ``threading``, which the
 interpreter has loaded already; importing the package and running
 ``optimize`` load no ``concurrent.futures``, so they pay nothing for it.
 
+No command and no column shard of ``noise_stream`` loads ``numpy.ma``, which
+costs each process about 1 MB resident and 10 ms: numpy's ``np.unique``
+loads it, so the package dedupes by sorting instead.
+
 Importing the package loads numpy's BLAS with one thread, so the process has
 no idle BLAS pool: on Linux, ``/proc/self/status`` then reads ``Threads: 1``.
 A BLAS thread variable the caller set, or a numpy the caller imported first,
@@ -37,7 +41,7 @@ if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as f:
         threads = next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
 print(json.dumps({{
-    "modules": sorted(m for m in sys.modules if m.startswith(("scipy.", "bltnoise.", "concurrent."))),
+    "modules": sorted(m for m in sys.modules if m.startswith(("scipy.", "bltnoise.", "concurrent.", "numpy."))),
     "threads": threads,
     "environ_unchanged": dict(os.environ) == environ,
 }}))
@@ -96,6 +100,27 @@ def test_noisegen_and_verify_load_no_scipy(tmp_path):
     mods = loaded(body, tmp_path)
     assert "bltnoise.streaming" in mods
     assert not any(m.startswith("scipy.") for m in mods)
+
+
+def test_commands_and_shards_load_no_numpy_ma(tmp_path):
+    body = (
+        "import numpy as np\n"
+        "from bltnoise import cli, load_factorization, NoiseStreamConfig, noise_stream\n"
+        "assert cli.main(['build', '--method', 'ra', '--degree', '3', '--steps', '64', '--out', 'b.json']) == 0\n"
+        "assert cli.main(['eval', '--blt', 'b.json']) == 0\n"
+        "assert cli.main(['optimize', '--degree', '2', '--steps', '100', '--out', 'o.json']) == 0\n"
+        "assert cli.main(['noisegen', '--blt', 'b.json', '--steps', '16', '--dim', '2', "
+        "'--out', 'n.csv']) == 0\n"
+        "assert cli.main(['verify', '--blt', 'b.json', '--steps', '16', '--dim', '2']) == 0\n"
+        "assert cli.main(['compare', '--methods', 'ra,degree1', '--degrees', '3', "
+        "'--n-grid', '100']) == 0\n"
+        "assert cli.main(['recursive', '--base', 'b.json', '--levels', '2']) == 0\n"
+        "cfg = NoiseStreamConfig(load_factorization('b.json'), 16, 300, seed=1, zeta=1.0)\n"
+        "assert np.vstack(list(noise_stream(cfg, columns=[299, 0, 5]))).shape == (16, 3)"
+    )
+    mods = loaded(body, tmp_path)
+    assert {"bltnoise.optimizer", "bltnoise.streaming", "bltnoise.recursive"} <= mods
+    assert not any(m == "numpy.ma" or m.startswith("numpy.ma.") for m in mods)
 
 
 @needs_proc_status

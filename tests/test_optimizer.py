@@ -147,6 +147,26 @@ class TestSanitize:
     """How ``optimize_blt`` screens its start: nothing moves a root, so a
     start the loss scores +inf is refused by name."""
 
+    def test_default_ladder_widens_only_where_it_collapses(self):
+        n = 10**6
+        # degree 17 still fits the ratio-1/4 ladder, bit for bit
+        theta, theta_hat = geometric_ladder(17, n)
+        want = 1.0 - 1e-3 * 0.25 ** np.arange(17)
+        assert np.array_equal(theta, want)
+        assert np.array_equal(theta_hat, want + (1.0 - want) / 2e3)
+        # degree 18's deepest root would round onto its pole; the widened
+        # ladder keeps every root above its pole, and the loss is finite
+        deepest = 1.0 - 1e-3 * 0.25**17
+        assert deepest + (1.0 - deepest) / 2e3 == deepest
+        theta, theta_hat = geometric_ladder(18, n)
+        assert np.all((theta < theta_hat) & (theta_hat < 1.0))
+        assert theta_hat[-1] - theta[-1] >= 8 * 2.0**-53
+        assert math.isfinite(loss(theta, theta_hat, n, W))
+        # where the ratio-1/4 ladder collapses, from degree 13 at 10**9 and
+        # degree 8 at 10**12, the widened one is feasible up to degree 40
+        for n, d in itertools.product((10**9, 10**12, 10**15, 2**48), (8, 13, 40)):
+            assert math.isfinite(loss(*geometric_ladder(d, n), n, W)), (n, d)
+
     def test_colliding_init_is_infeasible(self):
         # a repeated pole divides the residues by zero, and the loss is +inf
         cfg = OptConfig(
@@ -176,13 +196,6 @@ class TestSanitize:
                 optimize_blt(OptConfig(degree=2, n=100, init=([0.3, 0.5], [0.4, bad])))
             with pytest.raises(ValueError, match=rf"^init theta\[0\] = {shown} "):
                 optimize_blt(OptConfig(degree=2, n=100, init=([bad, 0.5], [0.4, 0.6])))
-        # no init passed: the default start's theta[23] = 1 - 0.25**23 / sqrt(10**6)
-        # rounds to 1.0, and the message names the start, degree and n
-        with pytest.raises(
-            ValueError,
-            match=r"^the default start geometric_ladder\(degree=26, n=1000000\): theta\[23\] = 1\.0 ",
-        ):
-            optimize_blt(OptConfig(degree=26, n=10**6))
 
 
 class TestOptimizeBlt:

@@ -206,8 +206,9 @@ class TestNoiseStream:
         full = np.vstack(list(noise_stream(cfg)))
         shards = [
             np.vstack(list(noise_stream(cfg, columns=cols)))
-            for cols in ([0, 1], [2], [3, 4])
+            for cols in ([0, 1], [], [2], [3, 4])
         ]
+        assert shards[1].shape == (130, 0)
         assert np.array_equal(np.hstack(shards), full)
 
     def test_zeta_zero_rows(self):

@@ -132,11 +132,14 @@ COMMANDS = [
     ("optimize-d3", ["optimize", "--degree", "3", "--steps", "2000", "--out", "opt3.json"]),
     ("optimize-d5", ["optimize", "--degree", "5", "--steps", "100000", "--out", "opt5.json"]),
     ("optimize-d10", ["optimize", "--degree", "10", "--steps", "100000", "--out", "opt10.json"]),
+    # a start whose ratio-1/4 ladder collapses: the widened ladder runs
+    ("optimize-d18", ["optimize", "--degree", "18", "--steps", "1000000", "--max-iters", "20", "--out", "opt18.json"]),
     # bad input: exit 2 and one error line on stderr
     ("bad-file-eval", ["-c", BAD_FILE]),
     ("optimize-max-iters-0", ["optimize", "--degree", "2", "--steps", "100", "--max-iters", "0", "--out", "x.json"]),
     ("noisegen-dim-0", ["noisegen", "--blt", "d1.json", "--steps", "5", "--dim", "0", "--out", "x.csv"]),
-    ("optimize-ladder-collapse", ["optimize", "--degree", "26", "--steps", "1000000", "--out", "x.json"]),
+    # even one root rounds onto its pole
+    ("optimize-ladder-collapse", ["optimize", "--degree", "1", "--steps", str(10**16), "--out", "x.json"]),
     ("compare-degree1-n-1", ["compare", "--methods", "degree1", "--degrees", "1", "--n-grid", "1"]),
     # one past the largest horizon; an unbounded stream goes to /dev/null
     ("noisegen-steps-2**63",
