@@ -62,7 +62,7 @@ def _log_q(e):
     digits at small |e|, and ``log|1 - e|`` from |a| = 1/2 up, where ``a(a -
     2)`` would round ``|1 - e|^2`` away; the imaginary part is ``atan2(-b, 1 - a)``."""
     with np.errstate(divide="ignore"):
-        if not np.iscomplexobj(e):
+        if e.dtype.kind != "c":
             return np.maximum(np.log1p(-e), _LOG_TINY)
         a, b = e.real, e.imag
         mag = np.where(np.abs(a) < 0.5, 0.5 * np.log1p(a * (a - 2.0) + b * b), np.log(np.abs(1.0 - e)))
@@ -79,10 +79,10 @@ def geometric_prefix(e, N: int):
     if N == 0:
         return np.zeros_like(e)
     x = -N * _log_q(e)
-    near = np.abs(np.real(x)) < _SERIES_X
+    near = np.abs(x.real) < _SERIES_X
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(-np.expm1(-x) / e)
-    if np.any(near):
+    if near.any():
         out[near] = (-x[near])[:, None] ** np.arange(_SERIES_ORDER + 1) @ _series_weights(N)[0]
     return out
 
@@ -99,7 +99,7 @@ def _quad(G, u, v):
 
 def _norm_from_square(square, what: str):
     """Square root of a squared norm; a real one must be finite and >= 0."""
-    if not np.iscomplexobj(square) and not np.all(np.isfinite(square) & (square >= 0.0)):
+    if square.dtype.kind != "c" and not (np.isfinite(square) & (square >= 0.0)).all():
         raise ValueError(f"negative or non-finite squared {what}; invalid parameters")
     return np.sqrt(square)
 
@@ -128,18 +128,18 @@ def rownorm_closed(omega, theta, n: int):
     """
     omega = np.asarray(omega)
     theta = np.asarray(theta)
-    if not np.iscomplexobj(theta) and theta.size:
+    if theta.dtype.kind != "c" and theta.size:
         if theta.min() < 0.0 or theta.max() > 1.0:
             raise ValueError("theta entries must lie in [0, 1]")
     e = 1.0 - theta
     log_q = _log_q(e)
-    near = (np.real(-n * log_q) < _SERIES_X) if n else np.zeros(e.shape, bool)
+    near = ((-n * log_q).real < _SERIES_X) if n else np.zeros(e.shape, bool)
     beta = np.where(near, 0.0, omega / np.where(near, 1.0, e))
     alpha = 1.0 + beta.sum(axis=-1)
     v = np.concatenate([-beta, alpha[..., None]], axis=-1)
     G = _gram(np.concatenate([e, np.zeros(alpha.shape + (1,))], axis=-1), n)
     square = _quad(G, v, v)
-    if np.any(near):
+    if near.any():
         _, w1, W2 = _series_weights(n)
         unit = e == 0
         u = np.where(near, omega * np.where(unit, 1.0, -log_q / np.where(unit, 1.0, e)), 0.0)

@@ -10,11 +10,15 @@ forms, the C side's from (omega_hat, theta_hat) and the B side's from
 (omega, theta).  Gradients are exact: the residues and both norms are
 complex-safe, so a 1e-20 imaginary step gives the derivative to machine
 precision with none of the cancellation of finite differences; the 2d steps
-are one batch.  The search
-runs in logit space (an unconstrained reparameterization of (0,1)) with a
-dense BFGS inverse-Hessian estimate and Armijo backtracking.  Every step it
-takes strictly lowers the loss, so the last iterate is the best one.  It stops
-at the first of:
+are one batch.  The search runs in logit space (an unconstrained
+reparameterization of (0,1)) with a dense BFGS inverse-Hessian estimate and
+Armijo backtracking from alpha = 1.  A trial point whose C-side residues are
+not finite, or not positive, scores +inf before either norm runs.  alpha = 1
+is tried alone; when it fails, the next ``_BATCH`` halvings are screened in
+one call and their feasible points scored in order, one at a time, up to the
+first that passes, so the step is the one a serial search takes.  Every step
+it takes strictly lowers the loss, so the last iterate is the best one.  It
+stops at the first of:
 
 - ``"grad_tol"``: the largest gradient component in theta space is at most
   ``_GRAD_TOL`` (the only stop reported as ``converged``);
@@ -38,6 +42,7 @@ from .params import BltFactorization, _check_horizon, _is_int, _residues_one_sid
 _CSTEP = 1e-20
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_BATCH = 8  # halvings screened per call once alpha = 1 fails
 _GRAD_TOL = 1e-9
 
 
@@ -92,25 +97,43 @@ def geometric_ladder(degree: int, n: int):
     return theta, theta_hat
 
 
+def _screen(theta, theta_hat, barrier_weight: float):
+    """The C-side residues of each row, and whether the row is feasible: its
+    residues finite and, with the barrier on, positive."""
+    omega_hat = _residues_one_side(theta_hat, theta)
+    keep = np.isfinite(omega_hat).all(axis=-1)
+    if barrier_weight != 0.0:
+        keep &= (omega_hat.real > 0.0).all(axis=-1)
+    return omega_hat, keep
+
+
+def _feasible_loss(theta, theta_hat, omega_hat, n: int, barrier_weight: float):
+    """Both norms' product plus the barrier, for rows ``_screen`` kept."""
+    omega = _residues_one_side(theta, theta_hat)
+    value = sensitivity_closed(omega_hat, theta_hat, n) * rownorm_closed(omega, theta, n)
+    if barrier_weight != 0.0:
+        value = value + barrier_weight * (-np.log(theta).sum(axis=-1) - np.log(omega_hat).sum(axis=-1))
+    return value
+
+
 def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
     """Loss on (possibly complex) interior parameters; no validation.
 
-    1-d parameters give one value, 2-d ones a value per row.  A trial point
-    far outside the basin overflows the residue products, and a repeated root
-    divides by zero; the loss there is +inf, so the warnings carry nothing.
+    1-d parameters give one value, 2-d ones a value per row.  A row that
+    ``_screen`` refuses is +inf, and the norms run only on the other rows.  A
+    trial point far outside the basin overflows the residue products, and a
+    repeated root divides by zero; the loss there is +inf, so the warnings
+    carry nothing.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega = _residues_one_side(theta, theta_hat)
-        omega_hat = _residues_one_side(theta_hat, theta)
-        if not np.all(np.isfinite(omega_hat)):
+        omega_hat, keep = _screen(theta, theta_hat, barrier_weight)
+        if keep.all():
+            return _feasible_loss(theta, theta_hat, omega_hat, n, barrier_weight)
+        if theta.ndim == 1:
             return math.inf
-        value = sensitivity_closed(omega_hat, theta_hat, n) * rownorm_closed(omega, theta, n)
-        if barrier_weight != 0.0:
-            if np.any(np.real(omega_hat) <= 0.0):
-                return math.inf
-            value = value + barrier_weight * (
-                -np.sum(np.log(theta), axis=-1) - np.sum(np.log(omega_hat), axis=-1)
-            )
+        value = np.full(keep.shape, math.inf, dtype=omega_hat.dtype)
+        if keep.any():
+            value[keep] = _feasible_loss(theta[keep], theta_hat[keep], omega_hat[keep], n, barrier_weight)
     return value
 
 
@@ -122,7 +145,7 @@ def _trial_point(theta, theta_hat):
     if theta.shape != theta_hat.shape or theta.ndim != 1:
         raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
     p = np.concatenate([theta, theta_hat])
-    return theta, theta_hat, not (np.any(p <= 0.0) or np.any(p >= 1.0))
+    return theta, theta_hat, not ((p <= 0.0).any() or (p >= 1.0).any())
 
 
 def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
@@ -131,7 +154,7 @@ def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
     if not inside:
         return math.inf
     try:
-        value = float(np.real(_loss_core(theta, theta_hat, n, barrier_weight)))
+        value = float(_loss_core(theta, theta_hat, n, barrier_weight).real)
     except ValueError:
         return math.inf
     return value if math.isfinite(value) else math.inf
@@ -149,9 +172,45 @@ def gradient(theta, theta_hat, n: int, barrier_weight: float) -> np.ndarray:
     d = theta.size
     params = np.concatenate([theta, theta_hat]) + 1j * _CSTEP * np.eye(2 * d)
     val = _loss_core(params[:, :d], params[:, d:], n, barrier_weight)
-    if not np.all(np.isfinite(np.real(val))):
+    if not np.isfinite(val.real).all():
         raise ValueError("loss is infinite at the evaluation point")
-    return np.imag(val) / _CSTEP
+    return val.imag / _CSTEP
+
+
+def _line_search(x, direction, slope, f_cur, n: int, barrier_weight: float):
+    """Armijo backtracking along ``direction`` from the logit-space point ``x``.
+
+    Tries ``alpha = 0.5**k`` for k = 0, 1, ... below ``_MAX_BACKTRACKS`` and
+    returns the first ``(k, alpha, point, loss)`` whose loss passes Armijo, or
+    None.  k = 0 is tried alone and later halvings ``_BATCH`` at a time: one
+    ``_screen`` call refuses a batch's infeasible rows (+inf, as ``loss``
+    scores them) before any norm runs, and its feasible rows are scored one
+    at a time in order, up to the first that passes.  One row at a time keeps
+    each loss equal to ``loss`` at that point bit for bit: the norms' power
+    series go through one matrix product over every near entry of a batch,
+    whose rounding depends on how many entries it holds.
+    """
+    d = x.size // 2
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while k < _MAX_BACKTRACKS:
+            stop = min(k + _BATCH, _MAX_BACKTRACKS) if k else 1
+            alphas = 0.5 ** np.arange(k, stop)
+            points = x + alphas[:, None] * direction
+            p = _sigmoid(points)
+            theta, theta_hat = p[:, :d], p[:, d:]
+            omega_hat, keep = _screen(theta, theta_hat, barrier_weight)
+            keep &= ((p > 0.0) & (p < 1.0)).all(axis=1)
+            for i in keep.nonzero()[0]:
+                try:
+                    f = float(_feasible_loss(theta[i], theta_hat[i], omega_hat[i], n, barrier_weight))
+                except ValueError:
+                    continue
+                alpha = float(alphas[i])
+                if math.isfinite(f) and f <= f_cur + _ARMIJO_C1 * alpha * slope:
+                    return k + int(i), alpha, points[i], f
+            k = stop
+    return None
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -193,13 +252,10 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
             i = int(outside[0])
             raise ValueError(f"{entry}{name}[{i}] = {float(p0[i])} is not strictly inside (0, 1)")
 
-    def f_of(x):
-        p = _sigmoid(x)
-        return loss(p[:d], p[d:], n, w)
-
     x = _logit(np.concatenate([theta0, theta_hat0]))
-    f_cur = f_of(x)
-    if not np.isfinite(f_cur):
+    p = _sigmoid(x)
+    f_cur = loss(p[:d], p[d:], n, w)
+    if not math.isfinite(f_cur):
         raise ValueError(f"{start} is infeasible (infinite loss)")
 
     H = np.eye(2 * d)
@@ -216,8 +272,8 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
             stop_reason = "gradient_failed"
             break
         g_x = g_p * p * (1.0 - p)
-        g_max = float(np.max(np.abs(g_x)))
-        if np.max(np.abs(g_p)) <= _GRAD_TOL:
+        g_max = float(np.abs(g_x).max())
+        if np.abs(g_p).max() <= _GRAD_TOL:
             trace.append((f_cur, g_max, 0.0, 0))
             stop_reason = "grad_tol"
             break
@@ -235,17 +291,12 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
             H = np.eye(2 * d)
             direction = -g_x
             slope = -(g_x @ g_x)
-        alpha = 1.0
-        for backtracks in range(_MAX_BACKTRACKS):
-            x_new = x + alpha * direction
-            f_new = f_of(x_new)
-            if f_new <= f_cur + _ARMIJO_C1 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
+        step = _line_search(x, direction, slope, f_cur, n, w)
+        if step is None:
             trace.append((f_cur, g_max, 0.0, _MAX_BACKTRACKS))
             stop_reason = "line_search_failed"
             break
+        backtracks, alpha, x_new, f_new = step
         # with slope < 0, Armijo accepts f_new >= f_cur only once the step
         # is lost to rounding: the loss has reached its plateau
         if f_new >= f_cur:

@@ -281,6 +281,72 @@ def optimized_d5():
     return optimize_blt(OptConfig(degree=5, n=10**5)).factorization
 
 
+def serial_search(cfg):
+    """Oracle of ``optimize_blt``'s iterates: the same BFGS loop, with the
+    Armijo backtracking run serially, one ``loss`` call per halving from
+    alpha = 1.  Returns ``(trace, theta, theta_hat, stop_reason)``."""
+    from bltnoise import optimizer as o
+
+    d, n, w = cfg.degree, cfg.n, cfg.barrier_weight
+
+    def f_of(x):
+        p = o._sigmoid(x)
+        return o.loss(p[:d], p[d:], n, w)
+
+    x = o._logit(np.concatenate(o.geometric_ladder(d, n)))
+    f_cur = f_of(x)
+    H = np.eye(2 * d)
+    prev_x = prev_g = None
+    stop_reason, trace = "max_iters", []
+    for _ in range(cfg.max_iters):
+        p = o._sigmoid(x)
+        try:
+            g_p = o.gradient(p[:d], p[d:], n, w)
+        except ValueError:
+            trace.append((f_cur, math.nan, 0.0, 0))
+            stop_reason = "gradient_failed"
+            break
+        g_x = g_p * p * (1.0 - p)
+        g_max = float(np.max(np.abs(g_x)))
+        if np.max(np.abs(g_p)) <= o._GRAD_TOL:
+            trace.append((f_cur, g_max, 0.0, 0))
+            stop_reason = "grad_tol"
+            break
+        if prev_x is not None:
+            s, yv = x - prev_x, g_x - prev_g
+            sy = s @ yv
+            if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
+                rho = 1.0 / sy
+                V = np.eye(2 * d) - rho * np.outer(s, yv)
+                H = V @ H @ V.T + rho * np.outer(s, s)
+        direction = -H @ g_x
+        slope = direction @ g_x
+        if slope >= 0.0:
+            H = np.eye(2 * d)
+            direction = -g_x
+            slope = -(g_x @ g_x)
+        alpha = 1.0
+        for backtracks in range(o._MAX_BACKTRACKS):
+            x_new = x + alpha * direction
+            f_new = f_of(x_new)
+            if f_new <= f_cur + o._ARMIJO_C1 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            trace.append((f_cur, g_max, 0.0, o._MAX_BACKTRACKS))
+            stop_reason = "line_search_failed"
+            break
+        if f_new >= f_cur:
+            trace.append((f_cur, g_max, 0.0, backtracks))
+            stop_reason = "no_decrease"
+            break
+        trace.append((f_cur, g_max, alpha, backtracks))
+        prev_x, prev_g = x, g_x
+        x, f_cur = x_new, f_new
+    p = o._sigmoid(x)
+    return trace, p[:d], p[d:], stop_reason
+
+
 def blt_dense_pair(fact, n):
     """Dense (B, C) of a BLT factorization at horizon n."""
     r = blt_coeffs(fact.rational(), n).coeffs

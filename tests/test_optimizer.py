@@ -21,7 +21,7 @@ from bltnoise.seq import ltt_dense
 from bltnoise.params import blt_coeffs, degree1_closed_form
 from bltnoise.rational import ra_blt_build
 
-from helpers import optimized_d5, random_factorization, series_reciprocal
+from helpers import optimized_d5, random_factorization, serial_search, series_reciprocal
 
 W = OptConfig.barrier_weight
 
@@ -141,6 +141,57 @@ class TestLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             loss([0.5, 0.6], [0.7], 100, W)
+
+
+class TestBatchedRows:
+    """A batch of trial points is scored row by row: rows whose C-side
+    residues are not finite or not positive are +inf before any norm runs."""
+
+    def test_refused_rows_run_no_norm(self, monkeypatch):
+        d, n = 5, 10**5
+        fact = optimized_d5()
+        rows = [np.concatenate(geometric_ladder(d, m)) for m in (10**3, 10**5)]
+        rows.append(np.concatenate([fact.theta, fact.theta_hat]))
+        crossed = rows[0].copy()
+        crossed[[1, d + 1]] = crossed[[d + 1, 1]]  # a root below its pole: a residue <= 0
+        repeated = rows[1].copy()
+        repeated[d + 1] = repeated[d + 2]  # a repeated root: residues divide by zero
+        P = np.array([rows[0], crossed, rows[1], repeated, rows[2]])
+        calls = []
+        real = error_eval.geometric_prefix
+
+        def counting(e, N):
+            calls.append(e.shape)
+            return real(e, N)
+
+        monkeypatch.setattr(error_eval, "geometric_prefix", counting)
+        values = _loss_core(P[:, :d], P[:, d:], n, W)
+        # one kernel call per norm, over the three feasible rows only
+        assert calls == [(3, d, d), (3, d + 1, d + 1)]
+        assert values[1] == values[3] == math.inf
+        for i in (0, 2, 4):
+            one = _loss_core(P[i, :d], P[i, d:], n, W)
+            assert values[i] == one == loss(P[i, :d], P[i, d:], n, W)
+        # a 1-d point the screen refuses runs no norm either
+        calls.clear()
+        assert _loss_core(repeated[:d], repeated[d:], n, W) == math.inf and calls == []
+
+    @pytest.mark.parametrize(
+        "degree, n, max_iters",
+        [(3, 10**4, 500), (4, 10**4, 500), (5, 10**5, 500), (12, 10**6, 60)],
+    )
+    def test_search_takes_the_serial_steps(self, degree, n, max_iters):
+        # the serial search scores one halving per loss call; the batched one
+        # must take the same steps, trace entries and end point bit for bit
+        cfg = OptConfig(degree=degree, n=n, max_iters=max_iters)
+        res = optimize_blt(cfg)
+        trace, theta, theta_hat, stop_reason = serial_search(cfg)
+        assert res.trace == trace
+        assert res.stop_reason == stop_reason
+        assert np.array_equal(res.factorization.theta, theta)
+        assert np.array_equal(res.factorization.theta_hat, theta_hat)
+        # some iteration backtracked past the first batch of halvings
+        assert max(entry[3] for entry in trace) > optimizer._BATCH
 
 
 class TestSanitize:
@@ -353,9 +404,18 @@ class TestStopReason:
         assert res.iterations == len(res.trace) == 1
 
     def test_line_search_failed(self, monkeypatch):
-        # the start point scores 1, every trial point after it scores 2
+        # the start point scores 1, every trial point after it scores 2; the
+        # patched evaluator scores the start's loss and the line search's
+        # rows, and leaves the gradient's complex steps to the real one
         calls = itertools.count()
-        monkeypatch.setattr(optimizer, "loss", lambda *args: 1.0 if next(calls) == 0 else 2.0)
+        real = optimizer._feasible_loss
+
+        def scored(theta, *args):
+            if theta.dtype.kind == "c":
+                return real(theta, *args)
+            return 1.0 if next(calls) == 0 else 2.0
+
+        monkeypatch.setattr(optimizer, "_feasible_loss", scored)
         res = optimize_blt(OptConfig(degree=2, n=100))
         assert res.stop_reason == "line_search_failed"
         assert res.iterations == 1

@@ -132,6 +132,8 @@ COMMANDS = [
     ("optimize-d3", ["optimize", "--degree", "3", "--steps", "2000", "--out", "opt3.json"]),
     ("optimize-d5", ["optimize", "--degree", "5", "--steps", "100000", "--out", "opt5.json"]),
     ("optimize-d10", ["optimize", "--degree", "10", "--steps", "100000", "--out", "opt10.json"]),
+    # a high-degree search whose line search backtracks past one batch
+    ("optimize-d12", ["optimize", "--degree", "12", "--steps", "1000000", "--max-iters", "60", "--out", "opt12.json"]),
     # a start whose ratio-1/4 ladder collapses: the widened ladder runs
     ("optimize-d18", ["optimize", "--degree", "18", "--steps", "1000000", "--max-iters", "20", "--out", "opt18.json"]),
     # bad input: exit 2 and one error line on stderr
