@@ -20,8 +20,9 @@ first that passes, so the step is the one a serial search takes.  Every step
 it takes strictly lowers the loss, so the last iterate is the best one.  It
 stops at the first of:
 
-- ``"grad_tol"``: the largest gradient component in theta space is at most
-  ``_GRAD_TOL`` (the only stop reported as ``converged``);
+- ``"grad_tol"``: the largest gradient component in logit space, the one
+  ``trace`` records, is at most ``_GRAD_TOL`` (the only stop reported as
+  ``converged``);
 - ``"no_decrease"``: the line search accepts a step that does not lower the
   loss, i.e. the step has shrunk to rounding (the loss plateau);
 - ``"line_search_failed"``: no step passes Armijo within the backtrack budget;
@@ -273,7 +274,7 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
             break
         g_x = g_p * p * (1.0 - p)
         g_max = float(np.abs(g_x).max())
-        if np.abs(g_p).max() <= _GRAD_TOL:
+        if g_max <= _GRAD_TOL:
             trace.append((f_cur, g_max, 0.0, 0))
             stop_reason = "grad_tol"
             break

@@ -308,7 +308,7 @@ def serial_search(cfg):
             break
         g_x = g_p * p * (1.0 - p)
         g_max = float(np.max(np.abs(g_x)))
-        if np.max(np.abs(g_p)) <= o._GRAD_TOL:
+        if g_max <= o._GRAD_TOL:
             trace.append((f_cur, g_max, 0.0, 0))
             stop_reason = "grad_tol"
             break

@@ -369,7 +369,6 @@ class TestStopReason:
         "degree, n, iterations, ratio",
         [
             (3, 10**4, 40, 1.0088147136953318),
-            (4, 10**4, 129, 1.001277279525536),
             (5, 10**5, 106, 1.0011540182543202),
         ],
     )
@@ -380,6 +379,24 @@ class TestStopReason:
         assert res.iterations == iterations
         assert res.factorization.meta["stop_reason"] == "no_decrease"
         assert res.factorization.meta["iterations"] == iterations
+        assert res.factorization.meta["final_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "degree, n, iterations, ratio",
+        [
+            (2, 100, 28, 1.002042694760116),
+            (3, 2000, 37, 1.0028604130740564),
+            (4, 10**4, 129, 1.001277279525536),
+        ],
+    )
+    def test_converges_at_the_gradient_tolerance(self, degree, n, iterations, ratio):
+        # the tolerance reads the logit-space gradient that the trace records;
+        # the theta-space one, scaled up by 1/(theta (1 - theta)) next to 1,
+        # stayed above it until the loss plateaued
+        res = optimize_blt(OptConfig(degree=degree, n=n))
+        assert res.stop_reason == "grad_tol" and res.converged
+        assert res.iterations == iterations
+        assert 0.0 < res.trace[-1][1] <= optimizer._GRAD_TOL < res.trace[-2][1]
         assert res.factorization.meta["final_ratio"] == pytest.approx(ratio, rel=1e-12)
 
     def test_degree_10_still_descends_at_max_iters(self):
