@@ -202,7 +202,7 @@ def _line_search(x, direction, slope, f_cur, n: int, barrier_weight: float):
             theta, theta_hat = p[:, :d], p[:, d:]
             omega_hat, keep = _screen(theta, theta_hat, barrier_weight)
             keep &= ((p > 0.0) & (p < 1.0)).all(axis=1)
-            for i in keep.nonzero()[0]:
+            for i in np.flatnonzero(keep):
                 try:
                     f = float(_feasible_loss(theta[i], theta_hat[i], omega_hat[i], n, barrier_weight))
                 except ValueError:
