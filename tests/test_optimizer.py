@@ -166,7 +166,9 @@ class TestBatchedRows:
 
         monkeypatch.setattr(error_eval, "geometric_prefix", counting)
         values = _loss_core(P[:, :d], P[:, d:], n, W)
-        # one kernel call per norm, over the three feasible rows only
+        # one kernel call per norm, over the three feasible rows only; no
+        # root of these rows lies within 1/n of 1, so the only series term
+        # is the exact one of the pole at 1, and batching moves no bit
         assert calls == [(3, d, d), (3, d + 1, d + 1)]
         assert values[1] == values[3] == math.inf
         for i in (0, 2, 4):
