@@ -16,12 +16,7 @@ import numpy as np
 
 from .error_eval import MECH_CSV_HEADER, bounds_csv, bounds_row, max_err
 from .optimizer import OptConfig, optimize_blt
-from .params import (
-    _check_horizon,
-    degree1_closed_form,
-    load_factorization,
-    save_factorization,
-)
+from .params import _int_arg, degree1_closed_form, load_factorization, save_factorization
 from .rational import ra_blt_build
 from .recursive import _draws, recursive_norms
 from .streaming import (
@@ -57,16 +52,8 @@ def _int_list(text: str):
     return [int(tok) for tok in _str_list(text)]
 
 
-def _check_flag(flag: str, n: int, tuned: bool = False) -> None:
-    """The library's horizon rule on an option's value; the error names the option."""
-    try:
-        _check_horizon(n, tuned)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _cmd_bounds(args) -> int:
-    _check_flag("--n-max", args.n_max)
+    _int_arg("--n-max", args.n_max)
     if args.log_grid < 0:
         raise ValueError("--log-grid must be >= 0")
     if args.log_grid:
@@ -84,12 +71,12 @@ def _cmd_build(args) -> int:
     if args.method == "ra":
         if args.degree is None:
             raise ValueError("--degree is required for --method ra")
-        _check_flag("--steps", args.steps)
+        _int_arg("--steps", args.steps)
         fact = ra_blt_build(args.degree, args.steps)
     else:  # degree1
         if args.degree not in (None, 1):
             raise ValueError("--method degree1 only supports --degree 1")
-        _check_flag("--steps", args.steps, tuned=True)
+        _int_arg("--steps", args.steps, least=2)
         fact = degree1_closed_form(args.steps)
     save_factorization(fact, args.out)
     print(
@@ -101,7 +88,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _check_flag("--steps", args.steps, tuned=True)
+    _int_arg("--steps", args.steps, least=2)
     cfg = OptConfig(degree=args.degree, n=args.steps, max_iters=args.max_iters)
     res = optimize_blt(cfg)
     save_factorization(res.factorization, args.out)
@@ -124,7 +111,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.steps is not None:
-        _check_flag("--steps", args.steps)
+        _int_arg("--steps", args.steps)
     fact = load_factorization(args.blt)
     n = args.steps if args.steps is not None else fact.n
     rep = max_err(fact, n)
@@ -133,7 +120,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_noisegen(args) -> int:
-    _check_flag("--steps", args.steps)
+    _int_arg("--steps", args.steps)
     fact = load_factorization(args.blt)
     kind = PER_STEP if args.mode == "per-step" else PREFIX
     cfg = NoiseStreamConfig(
@@ -166,7 +153,7 @@ def _cmd_verify(args) -> int:
     and (theta, omega) with the engine, none of its block kernel."""
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    _check_flag("--steps", args.steps)
+    _int_arg("--steps", args.steps)
     fact = load_factorization(args.blt)
     n, m = args.steps, args.dim
     per, pre = (NoiseStreamConfig(fact, n, m, args.seed, 1.0, kind) for kind in (PER_STEP, PREFIX))
@@ -202,9 +189,9 @@ def _cmd_compare(args) -> int:
         if meth not in ("ra", "opt", "degree1"):
             raise ValueError(f"unknown method {meth!r}")
     ns = args.n_grid
-    tuned = "opt" in methods or "degree1" in methods
+    least = 2 if "opt" in methods or "degree1" in methods else 1
     for n in ns:
-        _check_flag("--n-grid", n, tuned)
+        _int_arg("--n-grid", n, least)
     if "opt" in methods and min(args.degrees) < 1:
         raise ValueError(f"--degrees must be >= 1 for --methods opt, got {min(args.degrees)}")
     lines = ["method,degree," + MECH_CSV_HEADER]

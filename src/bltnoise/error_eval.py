@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BltFactorization, _check_horizon
+from .params import BltFactorization, _int_arg
 from .seq import optimal_coeffs
 
 EULER_GAMMA = 0.5772156649015329
@@ -70,11 +70,10 @@ def _log_q(e):
 
 
 def geometric_prefix(e, N: int):
-    """``sum_{j<N} (1 - e)^j`` elementwise, O(1) each: ``-expm1(-x) / e`` with
-    ``x = -N log(1 - e)``, and below ``_SERIES_X`` the power series in x, which
-    is exactly N at e = 0.  A complex step carries the exact derivative."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    """``sum_{j<N} (1 - e)^j`` elementwise for ``N >= 0``, O(1) each:
+    ``-expm1(-x) / e`` with ``x = -N log(1 - e)``, and below ``_SERIES_X`` the
+    power series in x, which is exactly N at e = 0.  A complex step carries
+    the exact derivative."""
     e = np.asarray(e)
     if N == 0:
         return np.zeros_like(e)
@@ -125,13 +124,13 @@ def rownorm_closed(omega, theta, n: int):
     ``ell_s = log(1/theta_s) / e_s``: its sums against 1 and the near poles
     are series in x, and against a far pole b, ``sum_j K_s(j) theta_b^j =
     (theta_b K_b(n) - theta_b^n K_s(n)) / (e_s + e_b - e_s e_b)``.
+
+    The poles must lie in [0, 1], and are not checked here: they come from a
+    ``BltFactorization``, which has checked them, or from a trial point that
+    the optimizer's ``_screen`` kept.
     """
     omega = np.asarray(omega)
-    theta = np.asarray(theta)
-    if theta.dtype.kind != "c" and theta.size:
-        if theta.min() < 0.0 or theta.max() > 1.0:
-            raise ValueError("theta entries must lie in [0, 1]")
-    e = 1.0 - theta
+    e = 1.0 - np.asarray(theta)
     log_q = _log_q(e)
     near = ((-n * log_q).real < _SERIES_X) if n else np.zeros(e.shape, bool)
     beta = np.where(near, 0.0, omega / np.where(near, 1.0, e))
@@ -186,8 +185,6 @@ def sensitivity_of(fact: BltFactorization, n: int) -> float:
     Reads the C-side residues ``fact.omega_hat``, which for the rational
     approximation are exact where its stored roots are not.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return float(sensitivity_closed(fact.omega_hat, fact.theta_hat, n))
 
 
@@ -198,9 +195,7 @@ def rownorm_of(fact: BltFactorization, n: int) -> float:
 
 def max_err(fact: BltFactorization, n: int | None = None) -> MaxErrReport:
     """MaxErr report for a factorization evaluated over ``n`` steps."""
-    if n is None:
-        n = fact.n
-    _check_horizon(n)
+    n = _int_arg("n", fact.n if n is None else n)
     sens = sensitivity_of(fact, n)
     rn = rownorm_of(fact, n)
     return MaxErrReport(
@@ -253,8 +248,6 @@ def opt_lt_toe(n: int) -> float:
     ``f`` are the coefficients of ``1/sqrt(1-x)``.  Summed exactly up to
     ``_EXACT_MAX``; above it, the Landau-constant expansion.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n <= _EXACT_MAX:
         f = optimal_coeffs(n).coeffs
         return float(np.cumsum(f * f)[-1])
@@ -263,8 +256,6 @@ def opt_lt_toe(n: int) -> float:
 
 def mathias_ub(n: int) -> float:
     """Upper bound on the general (non-Toeplitz) optimum, ``1/2 + T(n) / (2n)``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > _EXACT_MAX:
         return 0.5 + _csc_half_mean(n)
     # T(n) is twice its first half by the symmetry j <-> n + 1 - j, plus
@@ -276,8 +267,6 @@ def mathias_ub(n: int) -> float:
 
 def matousek_lb(n: int) -> float:
     """Lower bound on any factorization's MaxErr, ``(T(2n+1) - 1) / (4n)``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > _EXACT_MAX:
         # T(N) = 2N h with N = 2n + 1, so (T(N) - 1) / (4n) = h + (2h - 1) / (4n)
         h = _csc_half_mean(2 * n + 1)
@@ -288,12 +277,13 @@ def matousek_lb(n: int) -> float:
 
 def bintree_value(n: int) -> float:
     """MaxErr of the classical binary-tree mechanism, ceil(log2 n) + 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return float((n - 1).bit_length() + 1)
 
 
 def bounds_table(n: int) -> dict:
+    """The four reference bounds at horizon ``n``; the one check of ``n``
+    for all four."""
+    n = _int_arg("n", n)
     return {
         "opt_lt_toe": opt_lt_toe(n),
         "mathias_ub": mathias_ub(n),

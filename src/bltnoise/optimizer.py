@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_eval import max_err, rownorm_closed, sensitivity_closed
-from .params import BltFactorization, _check_horizon, _is_int, _residues_one_side
+from .params import BltFactorization, _int_arg, _residues_one_side
 
 _CSTEP = 1e-20
 _ARMIJO_C1 = 1e-4
@@ -56,14 +56,9 @@ class OptConfig:
     barrier_weight = 1e-7  # the loss's log-barrier weight; a constant, not a field
 
     def __post_init__(self):
-        if not (_is_int(self.degree) and self.degree >= 1):
-            raise ValueError(f"degree must be an integer >= 1, got {self.degree!r}")
-        _check_horizon(self.n, tuned=True)
-        if not _is_int(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        self.degree, self.n, self.max_iters = int(self.degree), int(self.n), int(self.max_iters)
+        self.degree = _int_arg("degree", self.degree)
+        self.n = _int_arg("n", self.n, least=2)
+        self.max_iters = _int_arg("max_iters", self.max_iters)
 
 
 @dataclass
@@ -99,10 +94,13 @@ def geometric_ladder(degree: int, n: int):
 
 
 def _screen(theta, theta_hat, barrier_weight: float):
-    """The C-side residues of each row, and whether the row is feasible: its
-    residues finite and, with the barrier on, positive."""
+    """The C-side residues of each row, and whether the row is feasible: every
+    root strictly inside (0, 1) (the real part, under a complex step), its
+    residues finite and, with the barrier on, positive.  The optimizer's one
+    check of a point; ``loss``, ``gradient`` and the line search all read it."""
     omega_hat = _residues_one_side(theta_hat, theta)
-    keep = np.isfinite(omega_hat).all(axis=-1)
+    p = np.concatenate([theta.real, theta_hat.real], axis=-1)
+    keep = ((p > 0.0) & (p < 1.0)).all(axis=-1) & np.isfinite(omega_hat).all(axis=-1)
     if barrier_weight != 0.0:
         keep &= (omega_hat.real > 0.0).all(axis=-1)
     return omega_hat, keep
@@ -118,13 +116,13 @@ def _feasible_loss(theta, theta_hat, omega_hat, n: int, barrier_weight: float):
 
 
 def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
-    """Loss on (possibly complex) interior parameters; no validation.
+    """Loss on (possibly complex) parameters of equal shape.
 
     1-d parameters give one value, 2-d ones a value per row.  A row that
-    ``_screen`` refuses is +inf, and the norms run only on the other rows.  A
-    trial point far outside the basin overflows the residue products, and a
-    repeated root divides by zero; the loss there is +inf, so the warnings
-    carry nothing.
+    ``_screen`` refuses, outside (0, 1) or infeasible, is +inf, and the norms
+    run only on the other rows.  A trial point far outside the basin
+    overflows the residue products, and a repeated root divides by zero; the
+    loss there is +inf, so the warnings carry nothing.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega_hat, keep = _screen(theta, theta_hat, barrier_weight)
@@ -139,21 +137,17 @@ def _loss_core(theta, theta_hat, n: int, barrier_weight: float):
 
 
 def _trial_point(theta, theta_hat):
-    """``(theta, theta_hat)`` as 1-d float arrays of equal length, and whether
-    every entry lies strictly inside (0, 1)."""
+    """``(theta, theta_hat)`` as 1-d float arrays of equal length."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=np.float64))
     if theta.shape != theta_hat.shape or theta.ndim != 1:
         raise ValueError("theta and theta_hat must be 1-d arrays of equal length")
-    p = np.concatenate([theta, theta_hat])
-    return theta, theta_hat, not ((p <= 0.0).any() or (p >= 1.0).any())
+    return theta, theta_hat
 
 
 def loss(theta, theta_hat, n: int, barrier_weight: float) -> float:
     """Barrier-augmented MaxErr; +inf outside the feasible region."""
-    theta, theta_hat, inside = _trial_point(theta, theta_hat)
-    if not inside:
-        return math.inf
+    theta, theta_hat = _trial_point(theta, theta_hat)
     try:
         value = float(_loss_core(theta, theta_hat, n, barrier_weight).real)
     except ValueError:
@@ -167,9 +161,7 @@ def gradient(theta, theta_hat, n: int, barrier_weight: float) -> np.ndarray:
     Computed by a 1e-20 imaginary step per coordinate, all 2d steps in one
     batched loss evaluation; exact to roundoff.
     """
-    theta, theta_hat, inside = _trial_point(theta, theta_hat)
-    if not inside:
-        raise ValueError("parameters must lie strictly inside (0, 1)")
+    theta, theta_hat = _trial_point(theta, theta_hat)
     d = theta.size
     params = np.concatenate([theta, theta_hat]) + 1j * _CSTEP * np.eye(2 * d)
     val = _loss_core(params[:, :d], params[:, d:], n, barrier_weight)
@@ -201,7 +193,6 @@ def _line_search(x, direction, slope, f_cur, n: int, barrier_weight: float):
             p = _sigmoid(points)
             theta, theta_hat = p[:, :d], p[:, d:]
             omega_hat, keep = _screen(theta, theta_hat, barrier_weight)
-            keep &= ((p > 0.0) & (p < 1.0)).all(axis=1)
             for i in np.flatnonzero(keep):
                 try:
                     f = float(_feasible_loss(theta[i], theta_hat[i], omega_hat[i], n, barrier_weight))
@@ -243,7 +234,7 @@ def optimize_blt(cfg: OptConfig) -> OptResult:
         start = f"the default start geometric_ladder(degree={d}, n={n})"
         entry = f"{start}: "
     else:
-        theta0, theta_hat0, _ = _trial_point(*cfg.init)
+        theta0, theta_hat0 = _trial_point(*cfg.init)
         start, entry = "init", "init "
     if theta0.size != d or theta_hat0.size != d:
         raise ValueError("initialization size does not match degree")

@@ -63,9 +63,7 @@ class RationalBlt:
 
 
 def blt_coeffs(b: RationalBlt, n: int) -> ToeplitzSeq:
-    """First ``n`` coefficients of ``b`` from the pole/residue closed form, O(n d)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """First ``n >= 1`` coefficients of ``b`` from the pole/residue closed form, O(n d)."""
     out = np.empty(n)
     out[0] = 1.0
     for k0 in range(1, n, _COEFF_CHUNK):
@@ -83,8 +81,10 @@ def residues_from_roots(theta, theta_hat):
     ``omega_hat`` with the two root sets swapped.  A shared root *between*
     the vectors simply zeroes the corresponding residue.  The checked entry
     for library callers: repeated roots within a vector (the denominator
-    vanishes) and zero roots are refused.  ``BltFactorization`` and the
-    optimizer check their own roots and call ``_residues_one_side``.
+    vanishes) and zero roots are refused.  Package code calls
+    ``_residues_one_side`` instead: ``BltFactorization`` has checked its
+    roots, and the optimizer's ``_screen`` refuses the rows whose residues
+    come out non-finite.
 
     Accepts complex inputs and batches over leading axes, one root set per
     row; above degree 32 the factors' magnitudes are summed in log-space so
@@ -158,12 +158,11 @@ class BltFactorization:
                 raise ValueError(f"{name} entries must lie in (0, 1]")
             if np.any(np.diff(np.sort(arr)) == 0):
                 raise ValueError(f"{name} entries must be pairwise distinct")
-        _check_horizon(self.n)
+        self.n = _int_arg("n", self.n)
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
         self.theta = theta
         self.theta_hat = theta_hat
-        self.n = int(self.n)
         self.meta = dict(self.meta or {})
         if self.omega is None:
             self.omega = _residues_one_side(theta, theta_hat)
@@ -207,7 +206,7 @@ def degree1_closed_form(n: int) -> BltFactorization:
     is ``1 - a^2 x / (1 - (lam - a^2) x)``, so theta = lam - a^2 and
     theta_hat = lam.  Squared sensitivity is bounded by 1 + a^4/(1 - lam^2).
     """
-    _check_horizon(n, tuned=True)
+    n = _int_arg("n", n, least=2)
     lam = 1.0 - n ** (-2.0 / 3.0)
     a2 = n ** (-1.0 / 3.0) * (1.0 - n ** (-1.0 / 3.0))
     return BltFactorization([lam - a2], [lam], n, method="degree1")
@@ -218,17 +217,15 @@ def save_factorization(fact: BltFactorization, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_horizon(n, tuned: bool = False) -> None:
-    """The one rule for a horizon that rows or arrays are formed over: an
-    integer in [1, 2**63 - 1].  A ``tuned`` horizon, one that degree1 and opt
-    are built for, starts at 2: at n = 1 their poles fall on 0."""
-    least = 2 if tuned else 1
-    if not (_is_int(n) and least <= n <= _N_MAX):
-        raise ValueError(f"n must be a positive integer in [{least}, 2**63 - 1], got {n!r}")
+def _int_arg(name: str, value, least: int = 1, most: int = _N_MAX) -> int:
+    """The one rule for an integer argument: an ``int`` or numpy integer, not
+    a ``bool``, in [least, most], returned as a Python int so that counts
+    cannot wrap.  A horizon that rows or arrays are formed over keeps the
+    default ``most``; one that degree1 and opt are tuned to starts at 2,
+    since at n = 1 their poles fall on 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not least <= value <= most:
+        raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return int(value)
 
 
 def load_factorization(path) -> BltFactorization:
@@ -254,8 +251,7 @@ def load_factorization(path) -> BltFactorization:
         method = meta.get("method", "manual")
         if not isinstance(method, str):
             raise ValueError(f"meta.method must be a string, got {method!r}")
-        if not (_is_int(degree) and degree >= 0):
-            raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+        degree = _int_arg("degree", degree, least=0)
         for key in ("theta", "theta_hat"):
             # np.asarray would read a numeric string as a number
             value = payload[key]

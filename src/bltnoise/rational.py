@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import BltFactorization
+from .params import BltFactorization, _int_arg
 
 _BISECT_ITERS = 90
 
@@ -68,9 +68,9 @@ class SqrtApproxTerms:
 
 
 def newman_sqrt(d: int) -> SqrtApproxTerms:
-    """Degree-d rational approximation of sqrt(1-x) with real simple poles."""
-    if d < 3:
-        raise ValueError(f"degree must be >= 3 (two-sided pole ladder needs d_plus >= 1), got {d}")
+    """Degree-d rational approximation of sqrt(1-x) with real simple poles;
+    d >= 3, since the two-sided pole ladder needs d_plus >= 1."""
+    d = _int_arg("degree", d, least=3)
     d_plus = (d - 1) // 2
     return SqrtApproxTerms(d_plus, d - 1 - d_plus, math.pi / math.sqrt(2.0 * d_plus))
 
@@ -86,8 +86,7 @@ def degree_for_error(n: int, mu: float) -> int:
     Condition (a): d >= 2 + ((12 + 4 ln n)/pi)^2.
     Condition (b): 16 sqrt(n) exp(-(pi/2) sqrt(d-2)) <= mu/(4 + ln n).
     """
-    if n < 5:
-        raise ValueError("n must be >= 5")
+    n = _int_arg("n", n, least=5)
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     ln_n = math.log(n)

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .error_eval import rownorm_of, sensitivity_of
-from .params import _N_MAX, BltFactorization, _check_horizon, _is_int, blt_coeffs
+from .params import _N_MAX, BltFactorization, _int_arg, blt_coeffs
 from .rational import _degree_a
 from .seq import MATRIX_CAP, ltt_dense
 from .streaming import _TILE_VALUES
@@ -62,28 +62,18 @@ def _draws(n1: int, level: int) -> int:
     return n1 * (n1**level - 1) // (n1 - 1) if n1 > 1 else level
 
 
-def _check_size(name: str, value) -> int:
-    """An integer >= 1, returned as a Python int so that counts cannot wrap."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return int(value)
-
-
 def _check_levels(n1, levels) -> int:
-    """The one rule for a composition's size: an integer n1 >= 1, ``levels``
-    in [1, 63] (the batched block adds an array axis a level, and numpy stops
-    at 64), and the noise rows it draws, at least n1**levels, a horizon.
-    Returns that count."""
-    n1 = _check_size("n1", n1)
-    if not (_is_int(levels) and 1 <= levels <= 63):
-        raise ValueError(f"levels must be an integer in [1, 63], got {levels!r}")
+    """The one rule for a composition's size, checked where
+    ``recursive_norms`` and ``recursive_stream`` are called: ``n1`` and
+    ``levels`` pass ``_int_arg``, ``levels`` up to 63 (the batched block adds
+    an array axis a level, and numpy stops at 64), and the noise rows the
+    composition draws, at least n1**levels, are at most 2**63 - 1, the
+    largest horizon.  Returns that count."""
+    n1 = _int_arg("n1", n1)
+    levels = _int_arg("levels", levels, most=63)
     draws = _draws(n1, levels)
-    try:
-        _check_horizon(draws)
-    except ValueError:
-        raise ValueError(f"levels = {levels} of a {n1}-step base draw {draws} rows, past 2**63 - 1") from None
+    if draws > _N_MAX:
+        raise ValueError(f"levels = {levels} of a {n1}-step base draw {draws} rows, past 2**63 - 1")
     return draws
 
 
@@ -162,7 +152,7 @@ def recursive_stream(base_factory, n1: int, levels: int, m: int, noise_source):
     array, since the rows yielded are views into it.
     """
     _check_levels(n1, levels)
-    n1, m = int(n1), _check_size("m", m)
+    n1, m = int(n1), _int_arg("m", m)
     if isinstance(noise_source, np.ndarray):
         if noise_source.ndim != 2 or noise_source.shape[1] != m:
             raise ValueError(f"noise array must have shape (rows, {m}), got {noise_source.shape}")
@@ -217,9 +207,7 @@ def theorem2_params(n: int):
     3037000499**2 (about 2**62.99999999) fits none and is refused, as
     ``recursive_stream`` and ``blt recursive`` would refuse it.
     """
-    _check_horizon(n)
-    if n < 25:
-        raise ValueError("n must be >= 25")
+    n = _int_arg("n", n, least=25)
     n1, levels = max(5, math.ceil(math.log(n))), 1
     while n1**levels < n:
         levels += 1

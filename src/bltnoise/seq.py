@@ -53,8 +53,6 @@ def optimal_coeffs(n: int) -> ToeplitzSeq:
     n : int
         Number of coefficients, ``n >= 1``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     f = np.ones(n)
     if n > 1:
         f[1:] = np.cumprod(1.0 - 0.5 / np.arange(1, n))

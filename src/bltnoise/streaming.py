@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .error_eval import sensitivity_of
-from .params import BltFactorization, RationalBlt, _check_horizon, _is_int, blt_coeffs
+from .params import BltFactorization, RationalBlt, _int_arg, blt_coeffs
 from .seq import ltt_dense
 
 RNG_NAME = "philox-u64-as241"
@@ -82,8 +82,6 @@ class StreamState:
 
 def stream_init(r: RationalBlt, m: int) -> StreamState:
     """Zero d x m buffer of the one-row form of the streaming multiplier."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return StreamState(S=np.zeros((r.degree, m)), r=r)
 
 
@@ -112,17 +110,10 @@ class NoiseStreamConfig:
     output_kind: str = PER_STEP
 
     def __post_init__(self):
-        for name in ("n", "m", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        _check_horizon(self.n)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        real = _is_int(self.zeta) or isinstance(self.zeta, (float, np.floating))
+        object.__setattr__(self, "n", _int_arg("n", self.n))
+        object.__setattr__(self, "m", _int_arg("m", self.m))
+        object.__setattr__(self, "seed", _int_arg("seed", self.seed, least=0, most=2**64 - 1))
+        real = isinstance(self.zeta, (int, float, np.integer, np.floating)) and not isinstance(self.zeta, bool)
         if not (real and math.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError(f"zeta must be a finite number >= 0, got {self.zeta!r}")
         if self.output_kind not in (PER_STEP, PREFIX):
@@ -209,7 +200,8 @@ def ndtri(u: np.ndarray, out=None) -> np.ndarray:
 
     The result is written to ``out`` and returned when it is given: a
     C-contiguous float64 array of ``u``'s size that does not overlap ``u``;
-    it keeps its own shape.
+    it keeps its own shape.  ``out`` is not checked: the noise engine passes
+    whole rows of its own output array.
 
     The central region runs in flat chunks of about ``_NDTRI_CHUNK`` values
     through two reused buffers; the tails of all chunks, about 15% of the
@@ -218,13 +210,6 @@ def ndtri(u: np.ndarray, out=None) -> np.ndarray:
     x = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
     if out is None:
         out = np.empty(np.shape(u))
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-        and out.size == x.size
-    ):
-        raise ValueError("out must be a C-contiguous float64 array of u's size")
     result, out = out, out.reshape(-1)
     chunks = max(1, round(x.size / _NDTRI_CHUNK))
     step = max(1, -(-x.size // chunks))

@@ -286,3 +286,14 @@ def test_benchmark_imports_resolve():
                     if not hasattr(module, alias.name)
                 ]
     assert missing == []
+
+
+def test_one_integer_rule():
+    # params._int_arg words every integer check; a module with a message of
+    # its own has grown a second rule
+    others = sorted(
+        p.name
+        for p in PACKAGE.glob("*.py")
+        if p.name != "params.py" and "must be an integer" in p.read_text(encoding="utf-8")
+    )
+    assert others == []

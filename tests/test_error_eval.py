@@ -76,10 +76,6 @@ class TestStein:
         G = geometric_prefix(np.full((3, 3), 0.25), 0)
         assert G.shape == (3, 3) and not G.any()
 
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError, match="N must be >= 0"):
-            geometric_prefix(np.full(2, 0.5), -1)
-
     def test_exactly_n_at_zero(self):
         for N in (1, 2, 7, 10**6, 2**53 + 1, _N_MAX):
             got = geometric_prefix(np.array([0.0, 0.0j]), N)
@@ -172,12 +168,6 @@ class TestGeometricPrefix:
         got = sensitivity_closed([0.25], [theta], 3)
         # 1/r = 1 + 0.25 x + 0.25 theta x^2 + ...
         np.testing.assert_allclose(got, math.sqrt(1.0 + 0.0625 * (1.0 + theta * theta)), rtol=1e-15)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            rownorm_closed([0.5], [-0.2], 5)
-        with pytest.raises(ValueError):
-            rownorm_closed([0.5], [1.2], 5)
 
 
 class TestGsumOracles:
@@ -324,18 +314,6 @@ class TestSensitivityOf:
             got = sensitivity_of(fact, n)
             np.testing.assert_allclose(got, math.sqrt(np.dot(s, s)), rtol=1e-12)
 
-    def test_rejects_empty_horizon(self):
-        facts = [
-            ra_blt_build(5, 100),
-            degree1_closed_form(100),
-            BltFactorization([0.5], [0.7], 100),
-            BltFactorization([], [], 100),
-        ]
-        for fact in facts:
-            for n in (0, -1):
-                with pytest.raises(ValueError, match="n must be >= 1"):
-                    sensitivity_of(fact, n)
-
 
 class TestFarHorizon:
     """Both norms far past a factorization's n, against 60-digit sums."""
@@ -397,10 +375,6 @@ class TestRownormClosed:
         # r = [1,1,1,1], prefix sums t = [1,2,3,4]
         np.testing.assert_allclose(got, math.sqrt(1 + 4 + 9 + 16), rtol=1e-12)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            rownorm_closed([0.5], [1.5], 4)
-
 
 class TestMonotonicity:
     def test_norms_nondecreasing_in_n(self):
@@ -458,7 +432,7 @@ class TestMaxErrReport:
 
     @pytest.mark.parametrize("n", [True, 2.5, "5", 10**20, 0])
     def test_horizon_rule(self, n):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[1, 9223372036854775807\], got "):
             max_err(ra_blt_build(5, 100), n)
 
 

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from bltnoise.cli import main
+from bltnoise.error_eval import bounds_table, max_err
 from bltnoise.optimizer import OptConfig
 from bltnoise.params import (
     BltFactorization,
@@ -15,6 +17,8 @@ from bltnoise.params import (
     residues_from_roots,
     save_factorization,
 )
+from bltnoise.rational import degree_for_error, ra_blt_build
+from bltnoise.recursive import blt_base_factory, recursive_norms, recursive_stream, theorem2_params
 from bltnoise.seq import ToeplitzSeq, ltt_apply_dense
 from bltnoise.streaming import NoiseStreamConfig
 
@@ -275,10 +279,93 @@ class TestSerialization:
             load_factorization(path)
 
 
+_MOST = 2**63 - 1
+_FACT = BltFactorization([0.5], [0.75], 8)
+_BASE = blt_base_factory(_FACT, 1)
+
+# (entry point and argument, the name its error gives, least, most, a call
+# with that argument set to v, bad values besides the common ones)
+INT_ARGS = [
+    ("BltFactorization-n", "n", 1, _MOST, lambda v: BltFactorization([0.5], [0.75], v), ()),
+    ("degree1_closed_form-n", "n", 2, _MOST, degree1_closed_form, ()),
+    ("ra_blt_build-degree", "degree", 3, _MOST, lambda v: ra_blt_build(v, 100), (3.5, np.float64(5.0))),
+    ("ra_blt_build-n", "n", 1, _MOST, lambda v: ra_blt_build(3, v), ()),
+    ("degree_for_error-n", "n", 5, _MOST, lambda v: degree_for_error(v, 0.5), (10.5,)),
+    ("max_err-n", "n", 1, _MOST, lambda v: max_err(_FACT, v), ()),
+    ("bounds_table-n", "n", 1, _MOST, bounds_table, ()),
+    ("OptConfig-degree", "degree", 1, _MOST, lambda v: OptConfig(degree=v, n=100), ()),
+    ("OptConfig-n", "n", 2, _MOST, lambda v: OptConfig(degree=3, n=v), ()),
+    ("OptConfig-max_iters", "max_iters", 1, _MOST, lambda v: OptConfig(degree=3, n=100, max_iters=v), ()),
+    ("NoiseStreamConfig-n", "n", 1, _MOST, lambda v: NoiseStreamConfig(_FACT, v, 1, seed=0, zeta=1.0), ()),
+    ("NoiseStreamConfig-m", "m", 1, _MOST, lambda v: NoiseStreamConfig(_FACT, 8, v, seed=0, zeta=1.0), ()),
+    ("NoiseStreamConfig-seed", "seed", 0, 2**64 - 1, lambda v: NoiseStreamConfig(_FACT, 8, 1, seed=v, zeta=1.0), ()),
+    ("recursive_stream-n1", "n1", 1, _MOST, lambda v: recursive_stream(_BASE, v, 1, 1, iter([])), ()),
+    ("recursive_stream-levels", "levels", 1, 63, lambda v: recursive_stream(_BASE, 1, v, 1, iter([])), ()),
+    ("recursive_stream-m", "m", 1, _MOST, lambda v: recursive_stream(_BASE, 1, 1, v, iter([])), ()),
+    ("recursive_norms-n1", "n1", 1, _MOST, lambda v: recursive_norms(_FACT, v, 1), ()),
+    ("recursive_norms-levels", "levels", 1, 63, lambda v: recursive_norms(_FACT, 1, v), ()),
+    ("theorem2_params-n", "n", 25, _MOST, theorem2_params, ()),
+]
+
+
+def _bad_values(least, most, extra=()):
+    """A bool, a float, a string, a numpy float of an integer value, one
+    below the range and one above it."""
+    return [True, 2.5, "4", np.float64(4.0), least - 1, most + 1, *extra]
+
+
+# (argv with the flag's value last, the flag, least): a horizon given on the
+# command line; argparse refuses what is not an int
+CLI_FLAGS = [
+    (["build", "--method", "ra", "--degree", "3", "--out", "x.json", "--steps"], "--steps", 1),
+    (["build", "--method", "degree1", "--out", "x.json", "--steps"], "--steps", 2),
+    (["optimize", "--degree", "2", "--out", "x.json", "--steps"], "--steps", 2),
+    (["eval", "--blt", "missing.json", "--steps"], "--steps", 1),
+    (["noisegen", "--blt", "missing.json", "--dim", "1", "--out", "x.csv", "--steps"], "--steps", 1),
+    (["verify", "--blt", "missing.json", "--dim", "1", "--steps"], "--steps", 1),
+    (["bounds", "--n-max"], "--n-max", 1),
+    (["compare", "--methods", "ra", "--degrees", "3", "--n-grid"], "--n-grid", 1),
+    (["compare", "--methods", "ra,opt", "--degrees", "3", "--n-grid"], "--n-grid", 2),
+]
+
+
 class TestOneOwner:
-    """``BltFactorization`` owns the checks on n, the method and the roots:
-    a bad value gives the same message from the constructor and from a file,
+    """``params._int_arg`` is the one integer rule: every entry point that
+    takes an integer refuses a bool, a non-integer and a value out of its
+    range with ``<name> must be an integer in [<least>, <most>], got <value>``.
+    ``BltFactorization`` owns the checks on n, the method and the roots: a
+    bad value gives the same message from the constructor and from a file,
     the file's prefixed with its path."""
+
+    @pytest.mark.parametrize(
+        "call, name, least, most, value",
+        [
+            pytest.param(call, name, least, most, value, id=f"{label}-{value!r}")
+            for label, name, least, most, call, extra in INT_ARGS
+            for value in _bad_values(least, most, extra)
+        ],
+    )
+    def test_integer_arguments(self, call, name, least, most, value):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be an integer in [{least}, {most}], got {value!r}"
+
+    @pytest.mark.parametrize("value", _bad_values(0, _MOST), ids=repr)
+    def test_file_degree(self, tmp_path, value):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": value, "theta": [], "theta_hat": [], "n": 8, "meta": {}}))
+        with pytest.raises(ValueError) as exc:
+            load_factorization(path)
+        read = json.loads(json.dumps(value))  # a numpy float is read back as a float
+        assert str(exc.value) == f"factorization file {path}: degree must be an integer in [0, {_MOST}], got {read!r}"
+
+    @pytest.mark.parametrize("argv, flag, least", CLI_FLAGS, ids=[f"{a[0]} {f} from {k}" for a, f, k in CLI_FLAGS])
+    def test_cli_flags(self, capsys, monkeypatch, tmp_path, argv, flag, least):
+        monkeypatch.chdir(tmp_path)
+        for value in (least - 1, _MOST + 1):
+            assert main([*argv, str(value)]) == 2
+            assert capsys.readouterr().err == f"error: {flag} must be an integer in [{least}, {_MOST}], got {value}\n"
+            assert list(tmp_path.iterdir()) == []
 
     GOOD = {"theta": [0.5, 0.8], "theta_hat": [0.6, 0.9], "n": 128, "method": "opt"}
 
@@ -327,4 +414,4 @@ class TestOneOwner:
             for call in calls:
                 with pytest.raises(ValueError) as exc:
                     call()
-                assert str(exc.value) == f"n must be a positive integer in [{least}, 2**63 - 1], got {n}"
+                assert str(exc.value) == f"n must be an integer in [{least}, {_MOST}], got {n}"

@@ -323,24 +323,6 @@ class TestNdtri:
         flat = np.empty(grid.size)
         assert ndtri(grid, out=flat).tobytes() == ndtri(grid).tobytes()
 
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty(99),  # wrong size
-            np.empty(101),
-            np.empty(100, dtype=np.float32),  # wrong dtype
-            np.empty(100, dtype=">f8"),
-            np.empty((100, 2))[:, 0],  # not C-contiguous
-            np.empty((10, 20))[:, :10],
-            np.empty((10, 10), order="F"),
-            [0.0] * 100,  # not an array
-        ],
-    )
-    def test_out_must_fit(self, out):
-        u = _uniform_chunk(np.random.Philox(key=6), 100)
-        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
-            ndtri(u, out=out)
-
 
 class TestBlockEngine:
     """Contracts of the block-Toeplitz engine: 64-row blocks aligned to

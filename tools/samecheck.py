@@ -148,6 +148,10 @@ COMMANDS = [
      ["noisegen", "--blt", "ra5.json", "--steps", str(2**63), "--dim", "1", "--out", "/dev/null"]),
     ("eval-empty-file", ["eval", "--blt", "/dev/null"]),
     ("recursive-n1-levels", ["-c", ONE_STEP_BASE]),
+    ("build-ra-degree-2", ["build", "--method", "ra", "--degree", "2", "--out", "x.json"]),
+    ("recursive-levels-64", ["recursive", "--base", "ra3.json", "--levels", "64"]),
+    ("eval-steps-0", ["eval", "--blt", "ra5.json", "--steps", "0"]),
+    ("bounds-n-max-0", ["bounds", "--n-max", "0"]),
     # a degree whose theta_hat moves if the zeros' bisection uses numpy's exp
     ("build-ra22", ["build", "--method", "ra", "--degree", "22", "--steps", "1000", "--out", "ra22.json"]),
 ]
