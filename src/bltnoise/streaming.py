@@ -12,14 +12,21 @@ of L rows,
     Y = T Z + P S,    S <- diag(theta^L) S + Q Z,
 
 where T is the L x L lower-triangular Toeplitz matrix of r, P[i,k] =
-theta_k^{i+1} and Q[k,j] = v_k theta_k^{L-1-j}.  Blocks are aligned to
-absolute row indices and batched about ``_TILE_VALUES`` values per column
-tile at a time (32768 rows at m = 1, 256 at m >= 128), so every row costs a
-few GEMM rows.  One generator, ``_noise_chunks``, runs the stream; its live
-state is one d x m array S, each column tile filtered against its own columns
-of S, plus two batches.  Prefix-sum noise (B z, with b(x) = r(x)/(1-x)) is
-the running sum of the per-step rows, kept in one extra width-m buffer rather
-than folding a pole at 1 into the factorization.
+theta_k^{i+1} and Q[k,j] = v_k theta_k^{L-1-j}.  The carry from block to
+block, S_{b+1} = diag(theta^L) S_b + Q Z_b, is itself a linear recurrence and
+runs as a second level of the same scan (Blelloch 1990, "Prefix sums and
+their applications"): K = max(1, L // min(m, W)) blocks form a superblock
+(64 at m = 1, 21 at m = 3, 1 from m = 33 on), about L x L values of a column
+tile, and the state steps once per superblock through one batched product
+per batch (see ``lfilter``).  At K = 1 this is the block-by-block
+recurrence, bit for bit.  Blocks and superblocks are aligned to absolute row
+indices and batched in whole superblocks, about ``_TILE_VALUES`` values per
+column tile at a time (32768 rows at m = 1, 256 at m >= 128), so every row
+costs a few GEMM rows.  One generator, ``_noise_chunks``, runs the stream;
+its live state is one d x m array S, each column tile filtered against its
+own columns of S, plus two batches.  Prefix-sum noise (B z, with b(x) =
+r(x)/(1-x)) is the running sum of the per-step rows, kept in one extra
+width-m buffer rather than folding a pole at 1 into the factorization.
 
 Noise values are reproducible by construction: a Philox counter RNG keyed by
 the seed produces one uint64 per value in row-major order, mapped through the
@@ -30,18 +37,21 @@ draws, computes the tiles that cover its columns against a state as wide
 as those tiles and slices them, so a sharded run is bitwise identical to
 slicing an unsharded run.
 
-Two threads share each stream, and two normals buffers allocated once per
-stream take turns between them.  A worker thread draws the next batch's
-normals (Philox, ``ndtri``, times sigma) into one buffer while the calling
-thread owns the other: the kernel and the prefix stage overwrite the current
-batch's normals in place and the consumer takes the buffer.  A batch is valid
-until the next one is requested, when the worker starts drawing into its
-buffer; ``noise_stream`` copies each batch, so the rows it yields stay valid.
-One draw is in flight at a time and only the worker touches the generator,
-in batch order, so the values do not depend on scheduling.  The package
-loads numpy's BLAS with one thread (see ``bltnoise/__init__.py``), so the
-kernel's GEMMs run on the calling thread and no idle BLAS pool spins beside
-the worker; a pool the caller asks for leaves the values as they are.
+Two threads share each stream: the calling thread and one worker thread,
+which starts with the stream and is joined when the stream ends, is closed
+or fails.  Two normals buffers allocated once per stream take turns between
+them.  The worker draws the next batch's normals (Philox, ``ndtri``, times
+sigma) into one buffer while the calling thread owns the other: the kernel
+and the prefix stage overwrite the current batch's normals in place and the
+consumer takes the buffer.  A batch is valid until the next one is
+requested, when the worker starts drawing into its buffer; ``noise_stream``
+copies each batch, so the rows it yields stay valid.  One draw is in flight
+at a time and only the worker touches the generator, in batch order, so the
+values do not depend on scheduling; a draw's error is raised on the
+consumer's thread.  The package loads numpy's BLAS with one thread (see
+``bltnoise/__init__.py``), so the kernel's GEMMs run on the calling thread
+and no idle BLAS pool spins beside the worker; a pool the caller asks for
+leaves the values as they are.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ RNG_NAME = "philox-u64-as241"
 _BLOCK = 64  # L, rows per Toeplitz block
 _TILE = 128  # W, columns per GEMM tile
 _TILE_VALUES = 32768  # values per column tile in one batch of blocks
-ENGINE = f"block-toeplitz-L{_BLOCK}-W{_TILE}"
+ENGINE = f"block-toeplitz-L{_BLOCK}-W{_TILE}-superblock"
 
 PER_STEP = "per_step_noise"
 PREFIX = "prefix_noise"
@@ -244,42 +254,68 @@ def ndtri(u: np.ndarray, out=None) -> np.ndarray:
     return result
 
 
-def lfilter(T, P, Q, decay, z, S):
+def lfilter(T, P, Q, carry, z, S):
     """Run the rows ``z`` of one column tile through the block recurrence, in place.
 
     Block after block of L = ``T.shape[0]`` rows, Y = T Z + P S and then
-    S <- decay * S + Q Z; the blocks are batched through one ``matmul`` per
-    product.  ``S`` (d x width) is updated in place.  A trailing partial block
-    uses ``T[:rem, :rem]`` and leaves ``S`` stale, so it must end the stream.
-    Y is written over ``z``, which may be a column slice of a wider batch:
-    both products of Z are formed before the first store.
+    S <- diag(theta^L) S + Q Z.  The state is carried a superblock of K =
+    ``carry.shape[-1] - 1`` blocks at a time: ``carry[k]`` is the (K+1) x
+    (K+1) lower-triangular Toeplitz matrix of (theta_k^L)^i, which maps
+    [S, (Q Z)_0, ..., (Q Z)_{K-1}] to the blocks' start states and, in its
+    last row, to the next superblock's state.  ``S`` (d x width) is updated
+    in place.  A partial last superblock (padded with zero blocks) or a
+    trailing partial block (``T[:rem, :rem]``) leaves ``S`` stale, so either
+    must end the stream.  Y is written over ``z``, which may be a column
+    slice of a wider batch: every product of Z is formed before the first
+    store.
 
     The name is kept from the per-pole ``scipy.signal.lfilter`` pass this
     kernel replaced: ``perfbench/tracing.py`` times the filter stage under it.
     """
-    L = T.shape[0]
+    L, K = T.shape[0], carry.shape[-1] - 1
+    d, width = S.shape
     nb, rem = divmod(z.shape[0], L)
+    state = S  # at the trailing partial block
     if nb:
-        zb = z[: nb * L].reshape(nb, L, -1)
-        qz = Q @ zb
+        zb = z[: nb * L].reshape(nb, L, width)
         y = T @ zb
-        starts = np.empty_like(qz)
-        for b in range(nb):
-            starts[b] = S
-            S *= decay[:, None]
-            S += qz[b]
-        y += P @ starts
+        ns = -(-nb // K)
+        qz = np.empty((ns * K, d, width))
+        np.matmul(Q, zb, out=qz[:nb])
+        qz[nb:] = 0.0
+        # every superblock's Q Z through the last K columns of carry: ns x d x K+1 x width
+        u = carry[:, :, 1:] @ qz.reshape(ns, K, d, width).transpose(0, 2, 1, 3)
+        starts = np.empty((ns, K, d, width))
+        for s in range(ns):
+            starts[s, 0] = S
+            S *= carry[:, K, :1]
+            S += u[s, :, K]
+        # block b > 0 of a superblock starts at (theta^L)^b S plus row b of u
+        rest = starts[:, 1:].transpose(0, 2, 1, 3)
+        np.multiply(carry[:, 1:K, :1], starts[:, :1].transpose(0, 2, 1, 3), out=rest)
+        rest += u[:, :, 1:K]
+        starts = starts.reshape(ns * K, d, width)
+        y += P @ starts[:nb]
         zb[...] = y
+        if nb < ns * K:
+            state = starts[nb]
     if rem:
         tail = z[nb * L :]
-        tail[...] = T[:rem, :rem] @ tail + P[:rem] @ S
+        tail[...] = T[:rem, :rem] @ tail + P[:rem] @ state
+
+
+def _superblock(m: int) -> int:
+    """K, the blocks per superblock of an m-column stream: about L x L values
+    per column tile, and one block once m > L / 2."""
+    return max(1, _BLOCK // min(m, _TILE))
 
 
 def _batch_rows(m: int) -> int:
     """Rows per batch of an m-column stream: about ``_TILE_VALUES`` values per
-    column tile, in whole blocks.  Draws are full-row, so a shard sizes its
-    batches by the full width m too."""
-    return max(_BLOCK, _TILE_VALUES // min(m, _TILE) // _BLOCK * _BLOCK)
+    column tile, in whole superblocks.  Draws are full-row, so a shard sizes
+    its batches by the full width m too."""
+    rows = _superblock(m) * _BLOCK
+    return max(rows, _TILE_VALUES // min(m, _TILE) // rows * rows)
 
 
 def _normals(bitgen, rows: int, m: int, keep, sigma: float, out, chunk) -> np.ndarray:
@@ -300,27 +336,48 @@ def _normals(bitgen, rows: int, m: int, keep, sigma: float, out, chunk) -> np.nd
     return out
 
 
-class _Draw(threading.Thread):
-    """``_normals(*args)`` on a thread of its own, started at construction."""
+class _Worker(threading.Thread):
+    """One stream's draw thread: runs the ``_normals`` calls it is given in
+    order, one at a time, from the stream's start until ``stop``.
 
-    def __init__(self, *args):
-        super().__init__(name="bltnoise-normals")
-        self._args = args
-        self._out = self._exc = None
+    A daemon, so a stream abandoned without ``close()`` cannot hold up the
+    interpreter's exit; it waits on a semaphore between draws.
+    """
+
+    def __init__(self):
+        super().__init__(name="bltnoise-normals", daemon=True)
+        self._job = self._out = self._exc = None
+        self._posted, self._done = threading.Semaphore(0), threading.Semaphore(0)
         self.start()
 
     def run(self):
-        try:
-            self._out = _normals(*self._args)
-        except BaseException as exc:  # re-raised by result() on the consumer's thread
-            self._exc = exc
+        while True:
+            self._posted.acquire()
+            job, self._job = self._job, None
+            if job is None:
+                return
+            try:
+                self._out, self._exc = _normals(*job), None
+            except BaseException as exc:  # re-raised by result() on the consumer's thread
+                self._out, self._exc = None, exc
+            self._done.release()
+
+    def submit(self, *args):
+        """Start ``_normals(*args)``; the previous draw's result has been taken."""
+        self._job = args
+        self._posted.release()
 
     def result(self) -> np.ndarray:
-        """Wait for the draw; return its normals or raise what it raised."""
-        self.join()
+        """Wait for the submitted draw; return its normals or raise what it raised."""
+        self._done.acquire()
         if self._exc is not None:
             raise self._exc
         return self._out
+
+    def stop(self):
+        """End the thread after the submitted draw, if any; its result is dropped."""
+        self._posted.release()  # with no job posted: the worker returns
+        self.join()
 
 
 def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
@@ -330,8 +387,8 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     This one generator runs the stream, and its state is one d x width array:
     width is m, or for a shard the columns of the tiles that cover it.  The
     batches live in two normals buffers allocated once per stream, which take
-    turns.  The worker thread owns one while it draws a batch into it:
-    full-width uniforms, a chunk of rows at a time through the uniforms
+    turns.  The stream's worker thread owns one while it draws a batch into
+    it: full-width uniforms, a chunk of rows at a time through the uniforms
     buffer (also allocated once, and only the worker's), the computed
     columns through ``ndtri``, times sigma.  The calling thread owns the
     other: the kernel filters each column tile in place against its columns
@@ -340,7 +397,8 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     yielded.  A yielded batch is valid until the next one is requested, when
     the worker starts drawing into its buffer; a consumer that keeps one
     copies it.  One draw is in flight at a time, and the draws run in order,
-    so the values do not depend on scheduling.
+    so the values do not depend on scheduling.  The worker starts with the
+    first batch and is joined on exhaustion, ``close()`` or an error.
     """
     r = cfg.factorization.rational()
     theta, v = r.theta, r.omega / r.theta
@@ -348,6 +406,12 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     powers = theta ** np.arange(_BLOCK + 1)[:, None]  # powers[i, k] = theta_k^i
     P, decay = powers[1:], powers[_BLOCK]
     Q = (v * powers[_BLOCK - 1 :: -1]).T
+    # per pole, the lower-triangular Toeplitz matrix of (theta^L)^i, i <= K, by repeated products
+    K = _superblock(cfg.m)
+    steps = np.ones((K + 1, theta.size))
+    steps[1:] = decay
+    np.cumprod(steps, axis=0, out=steps)
+    carry = np.array([ltt_dense(c) for c in steps.T]).reshape(-1, K + 1, K + 1)
     keep = sel = None
     if columns is not None:
         cols = np.asarray(columns, dtype=np.intp)
@@ -369,23 +433,22 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
     # the worker's uniforms: about 4 * _TILE_VALUES values, in whole rows
     chunk = np.empty(min(max(1, 4 * _TILE_VALUES // cfg.m), batch, cfg.n) * cfg.m)
 
-    def draw(start) -> _Draw | None:
-        """The worker drawing the batch at ``start`` into its buffer, or None past the end."""
-        if start >= cfg.n:
-            return None
-        rows = min(batch, cfg.n - start)
-        out = buffers[start // batch % 2, :rows]
-        return _Draw(bitgen, rows, cfg.m, keep, sigma, out, chunk)
+    def draw(start):
+        """Have the worker draw the batch at ``start`` into its buffer, if there is one."""
+        if start < cfg.n:
+            rows = min(batch, cfg.n - start)
+            worker.submit(bitgen, rows, cfg.m, keep, sigma, buffers[start // batch % 2, :rows], chunk)
 
     prefix = 0.0
-    pending = draw(0)
+    worker = _Worker()
     try:
+        draw(0)
         for start in range(0, cfg.n, batch):
-            y = pending.result()
-            pending = draw(start + batch)
+            y = worker.result()
+            draw(start + batch)
             # tile c fills columns c on of the batch and of S; only the last can be narrower
             for c in range(0, width, _TILE):
-                lfilter(T, P, Q, decay, y[:, c : c + _TILE], S[:, c : c + _TILE])
+                lfilter(T, P, Q, carry, y[:, c : c + _TILE], S[:, c : c + _TILE])
             if sel is not None:
                 y = y[:, sel]
             if cfg.output_kind == PREFIX:
@@ -394,8 +457,7 @@ def _noise_chunks(cfg: NoiseStreamConfig, columns=None):
                 prefix = y[-1].copy()
             yield start, y
     finally:
-        if pending is not None:
-            pending.join()
+        worker.stop()
 
 
 def noise_stream(cfg: NoiseStreamConfig, columns=None):

@@ -438,6 +438,14 @@ def serial_noise_chunks(cfg, columns=None):
     powers = r.theta ** np.arange(L + 1)[:, None]
     P, decay = powers[1:], powers[L]
     Q = (r.omega / r.theta * powers[L - 1 :: -1]).T
+    K = streaming._superblock(cfg.m)
+    steps = [np.ones_like(decay)]  # (theta^L)^i by repeated products, as the engine forms them
+    for _ in range(K):
+        steps.append(steps[-1] * decay)
+    carry = np.zeros((r.degree, K + 1, K + 1))
+    for b in range(K + 1):
+        for c in range(b + 1):
+            carry[:, b, c] = steps[b - c]
     states = [np.zeros((r.degree, min(W, cfg.m - c0))) for c0 in range(0, cfg.m, W)]
     bitgen = np.random.Philox(key=cfg.seed)
     batch = streaming._batch_rows(cfg.m)
@@ -449,7 +457,7 @@ def serial_noise_chunks(cfg, columns=None):
         y = z.copy()
         for i, S in enumerate(states):
             part = slice(i * W, (i + 1) * W)
-            streaming.lfilter(T, P, Q, decay, y[:, part], S)
+            streaming.lfilter(T, P, Q, carry, y[:, part], S)
         if cfg.output_kind == streaming.PREFIX:
             y[0] += prefix
             y = np.cumsum(y, axis=0)

@@ -421,10 +421,10 @@ class TestVerify:
         assert streaming._batch_rows(2) == 16384
         kernel = streaming.lfilter
 
-        def planted(T, P, Q, decay, z, S):
+        def planted(T, P, Q, carry, z, S):
             if S.any():  # every batch but the first carries a nonzero state in
                 S *= factor
-            kernel(T, P, Q, decay, z, S)
+            kernel(T, P, Q, carry, z, S)
 
         monkeypatch.setattr(streaming, "lfilter", planted)
         got, out, _ = run(

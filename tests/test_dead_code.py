@@ -48,7 +48,7 @@ TEST_ORACLES = {
 UNREAD_MEMBERS = {
     "SqrtApproxTerms.evaluate": "the approximant itself; criterion 05 and the lemma tests evaluate it",
     "_Parser.error": "argparse calls it on a usage error",
-    "_Draw.run": "threading calls it on the worker thread",
+    "_Worker.run": "threading calls it on the worker thread",
     "OptResult.trace": "the per-iteration record the README documents for library users",
 }
 

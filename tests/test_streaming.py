@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -376,6 +377,39 @@ class TestBlockEngine:
             for cols, a, b in zip(shards, want, run()):
                 assert np.array_equal(a, b), (tile_values, cols)
 
+    @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
+    @pytest.mark.parametrize("degree", [3, 0])
+    @pytest.mark.parametrize(
+        "m, n, shards, several",
+        [
+            # 4096-row superblocks (K = 64); n ends 2 blocks and 17 rows into the sixth
+            (1, 5 * 4096 + 2 * 64 + 17, (None,), 2),
+            # 1344-row superblocks (K = 21); n ends 5 blocks and 9 rows into the fifth
+            (3, 4 * 1344 + 5 * 64 + 9, (None, [1]), 3),
+            # one-block superblocks (K = 1); n ends 44 rows into the fifth block
+            (63, 300, (None, [0], [62]), 3),
+        ],
+    )
+    def test_narrow_batch_size_is_bitwise_invisible(self, monkeypatch, kind, degree, m, n, shards, several):
+        fact = random_factorization(np.random.default_rng(137), degree, 64)
+        cfg = NoiseStreamConfig(fact, n, m, seed=139, zeta=1.0, output_kind=kind)
+        superblock = max(1, 64 // m) * 64
+        assert n % superblock and n % 64
+
+        def run():
+            rows = [list(noise_stream(cfg, columns=cols)) for cols in shards]
+            return [np.vstack(r) for r in rows]
+
+        want = run()
+        # one superblock per batch; several per batch, the last batch ending
+        # inside a superblock; a single batch for the whole stream
+        for tile_values, rows in ((1, superblock), (several * superblock * m, several * superblock), (10**9, n)):
+            monkeypatch.setattr(streaming, "_TILE_VALUES", tile_values)
+            assert min(_batch_rows(m), n) == rows
+            assert [s for s, _ in _noise_chunks(cfg)] == list(range(0, n, rows))
+            for cols, a, b in zip(shards, want, run()):
+                assert a.tobytes() == b.tobytes(), (tile_values, cols)
+
     def test_prefix_is_the_exact_running_sum(self):
         fact = random_factorization(np.random.default_rng(73), 3, 64)
         cfg = NoiseStreamConfig(fact, 2100, 2, seed=79, zeta=1.0)
@@ -398,8 +432,8 @@ class TestBlockEngine:
 
 
 class TestPipeline:
-    """The next batch's normals are drawn on a worker thread while the kernel
-    and the consumer run the current one."""
+    """The next batch's normals are drawn on the stream's one worker thread
+    while the kernel and the consumer run the current one."""
 
     @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])
     @pytest.mark.parametrize(
@@ -504,6 +538,75 @@ class TestPipeline:
             next(it)
         assert threading.active_count() == before
         assert calls[1] != threading.current_thread().name
+
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "draw error", "kernel error"])
+    def test_one_worker_per_stream(self, monkeypatch, end):
+        """Every draw of a stream runs on one thread, not the caller's, and
+        that thread is gone however the stream ends."""
+        threads, kernel_calls = [], []
+        normals, kernel = streaming._normals, streaming.lfilter
+
+        def recorded_normals(*args):
+            threads.append(threading.current_thread())  # kept alive, so no two threads compare equal
+            if end == "draw error" and len(threads) == 3:
+                raise RuntimeError("draw failed")
+            return normals(*args)
+
+        def failing_kernel(*args):
+            kernel_calls.append(args)
+            if len(kernel_calls) == 5:  # the third batch's first tile, the fourth batch's draw in flight
+                raise RuntimeError("kernel failed")
+            return kernel(*args)
+
+        monkeypatch.setattr(streaming, "_normals", recorded_normals)
+        if end == "kernel error":
+            monkeypatch.setattr(streaming, "lfilter", failing_kernel)
+        before = threading.active_count()
+        it = _noise_chunks(self._cfg())  # four batches
+        if end == "exhausted":
+            assert len(list(it)) == 4
+        elif end == "closed":
+            next(it)
+            next(it)
+            it.close()
+        else:
+            next(it)
+            with pytest.raises(RuntimeError, match="failed"):
+                for _ in it:
+                    pass
+        assert threading.active_count() == before
+        assert len(threads) >= 2 and len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
+
+    def test_concurrent_streams_under_a_short_switch_interval(self, monkeypatch):
+        """Four streams consumed at once from four threads, eight threads on
+        the cores with the interpreter switching between them every
+        microsecond, each give the serial oracle's rows."""
+        monkeypatch.setattr(streaming, "_TILE_VALUES", 1)  # one superblock per batch
+        fact = random_factorization(np.random.default_rng(151), 3, 64)
+        cfgs = [
+            NoiseStreamConfig(fact, 3000, m, seed=157 + i, zeta=1.0, output_kind=kind)
+            for i, (m, kind) in enumerate([(3, PER_STEP), (200, PER_STEP), (3, PREFIX), (200, PREFIX)])
+        ]
+        want = [np.vstack([rows for _, rows in serial_noise_chunks(cfg)]) for cfg in cfgs]
+        got = [None] * len(cfgs)
+
+        def consume(i):
+            got[i] = np.vstack(list(noise_stream(cfgs[i])))
+
+        threads = [threading.Thread(target=consume, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for cfg, a, b in zip(cfgs, got, want):
+            assert a is not None and a.tobytes() == b.tobytes(), (cfg.m, cfg.output_kind)
 
     @pytest.mark.parametrize("degree", [0, 2])
     @pytest.mark.parametrize("kind", [PER_STEP, PREFIX])

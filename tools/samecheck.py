@@ -104,6 +104,13 @@ COMMANDS = [
     ("noisegen-f64-per-step-1000000x1",
      ["noisegen", "--blt", "ra9.json", "--steps", "1000000", "--dim", "1", "--format", "f64",
       "--out", "long.f64"]),
+    # narrow streams: several superblocks and batches, ending inside a superblock and a block
+    ("noisegen-f64-per-step-100003x3",
+     ["noisegen", "--blt", "ra9.json", "--steps", "100003", "--dim", "3", "--format", "f64",
+      "--out", "narrow.f64"]),
+    ("noisegen-f64-prefix-50003x4",
+     ["noisegen", "--blt", "ra9.json", "--steps", "50003", "--dim", "4", "--mode", "prefix",
+      "--format", "f64", "--out", "narrowp.f64"]),
     ("noisegen-csv-per-step-300x3",
      ["noisegen", "--blt", "d1.json", "--steps", "300", "--dim", "3", "--out", "ps.csv"]),
     ("noisegen-csv-prefix-300x3",
